@@ -1,21 +1,48 @@
-//! Crash-durable (ε, δ)-budget accounting: [`DurableLedger`].
+//! The (ε, δ)-budget ledger of the serving runtime: [`DurableLedger`].
 //!
-//! A [`DurableLedger`] wraps the sequential [`BudgetLedger`] with a
-//! two-phase debit protocol and (optionally) the write-ahead journal of
-//! [`crate::journal`]:
+//! A [`DurableLedger`] enforces the same sequential-composition rule as
+//! [`BudgetLedger`], from many threads at once, through a two-phase
+//! debit protocol and an optional write-ahead journal
+//! ([`crate::journal`]):
 //!
-//! 1. [`begin`](DurableLedger::begin) *reserves* the budget and appends
-//!    a fsync'd `Intent` record — only after this may noise be drawn;
+//! 1. [`begin_budget`](DurableLedger::begin_budget) *reserves* the
+//!    budget and, with a journal, appends a fsync'd `Intent` record —
+//!    only after this may noise be drawn;
 //! 2. [`settle`](DurableLedger::settle) finalizes the debit once the
 //!    noisy answer is (about to be) released;
 //! 3. [`abort`](DurableLedger::abort) refunds a reservation whose
 //!    noise was never released.
 //!
-//! The same API works without a journal
-//! ([`in_memory`](DurableLedger::in_memory)) so callers need not
-//! branch on durability. Approximate-DP ledgers track a δ column next
-//! to ε through the whole protocol — intents reserve both, settles
-//! spend both, aborts refund both — using the v2 journal frames.
+//! [`in_memory`](DurableLedger::in_memory) opens the ledger without a
+//! journal (process-lifetime durability) and
+//! [`open_budget`](DurableLedger::open_budget) opens it over a journal
+//! file; the protocol and its guarantees are otherwise identical, so
+//! callers never branch on durability.
+//!
+//! # Lock-free spend accounting
+//!
+//! Each spend column (ε, and δ under approximate DP) lives in an
+//! `AtomicU64` holding f64 bits, and a reservation is one CAS loop that
+//! replicates [`BudgetLedger::check`] and its debit clamp atomically:
+//!
+//! 1. load the current spend, evaluate the exact sequential predicate
+//!    (exhaustion guard + one-slack headroom) against it;
+//! 2. on pass, CAS the clamped new spend in; a lost race simply reloads
+//!    and re-checks.
+//!
+//! Every successful CAS is therefore indistinguishable from a
+//! `BudgetLedger::debit` executed at its linearization point, so any
+//! concurrent history is equivalent to some sequential one and inherits
+//! the sequential ledger's lifetime over-spend bound (one rounding
+//! slack, `total × 1e-9`) and dust guard unchanged. A both-column
+//! reservation takes ε first and δ second; a δ refusal rolls back
+//! exactly the ε amount that was applied (post-clamp), so a refused
+//! approximate debit leaves both columns untouched at quiescence.
+//!
+//! Admission checks and refused reservations never take a lock. Only
+//! the settlement bookkeeping — the pending-intent map, the next intent
+//! id and the journal — sits behind one mutex, which a successful
+//! reservation takes to record its intent.
 //!
 //! # Conservative by construction
 //!
@@ -35,52 +62,63 @@
 
 use crate::budget::{Budget, Epsilon};
 use crate::journal::{LedgerJournal, Record};
-use crate::ledger::{BudgetError, BudgetLedger};
+use crate::ledger::{BudgetError, BudgetLedger, RELATIVE_SLACK};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A thread-safe, optionally journal-backed two-phase budget ledger.
 ///
-/// Cloning is cheap and shares the underlying state (like
-/// [`crate::SharedLedger`]).
-#[derive(Debug, Clone)]
+/// The type is a cheap `Arc` handle: clones share the same ledger, so a
+/// scheduler thread can admission-[`check`](DurableLedger::check) while
+/// workers reserve and settle around each release.
+///
+/// ```
+/// use lrm_dp::{DurableLedger, Epsilon};
+///
+/// let ledger = DurableLedger::in_memory(Epsilon::new(1.0).unwrap());
+/// let half = Epsilon::new(0.5).unwrap();
+/// let handle = ledger.clone(); // same ledger, another thread's handle
+/// let id = ledger.begin(half).unwrap(); // reserve before drawing noise
+/// ledger.settle(id); // the release happened
+/// handle.debit(half).unwrap(); // begin + settle in one call
+/// assert!(ledger.is_exhausted());
+/// assert!(handle.begin(half).is_err());
+/// ```
+#[derive(Clone)]
 pub struct DurableLedger {
-    inner: Arc<Mutex<Inner>>,
+    inner: Arc<Inner>,
 }
 
-#[derive(Debug)]
 struct Inner {
-    /// Settled (released) spend, both columns.
-    ledger: BudgetLedger,
-    /// ε reserved by live intents, not yet settled or aborted.
-    reserved: f64,
-    /// δ reserved by live intents.
-    reserved_delta: f64,
-    /// Live intents: id → reserved (ε, δ).
+    total: f64,
+    delta_total: f64,
+    /// f64 bits of the cumulative ε spend (reservations included).
+    spent_bits: AtomicU64,
+    /// f64 bits of the cumulative δ spend (reservations included).
+    delta_spent_bits: AtomicU64,
+    /// Settled debits.
+    debits: AtomicUsize,
+    /// Settlement bookkeeping only — the spend columns above never hide
+    /// behind this lock. A refused reservation never takes it.
+    settle: Mutex<Settlement>,
+}
+
+struct Settlement {
+    /// Intent id → the (ε, δ) actually applied to the columns at
+    /// reservation (post-clamp), so an abort refunds exactly what was
+    /// taken.
     pending: HashMap<u64, (f64, f64)>,
     next_id: u64,
     journal: Option<LedgerJournal>,
 }
 
-impl Inner {
-    /// The ledger as admission control must see it: reservations count
-    /// as spent, because a crash would replay them that way.
-    fn view(&self) -> BudgetLedger {
-        BudgetLedger::restore(
-            self.ledger.total(),
-            self.ledger.spent() + self.reserved,
-            self.ledger.delta_total(),
-            self.ledger.delta_spent() + self.reserved_delta,
-            self.ledger.debits(),
-        )
-    }
-}
-
-/// What [`DurableLedger::open`] found on disk.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What [`DurableLedger::open`] found on disk (the default: nothing — a
+/// fresh grant).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResumeSummary {
     /// Whether a prior journal with the same total was honored (false
     /// for a fresh ledger or a total change, which resets the grant).
@@ -135,25 +173,101 @@ impl From<BudgetError> for DurableError {
     }
 }
 
+/// One lock-free check-and-debit over a single spend column. Replicates
+/// [`BudgetLedger::check`] + the debit clamp atomically: returns the
+/// amount actually applied (post-clamp) on success, the remaining budget
+/// observed at refusal otherwise.
+fn column_reserve(bits: &AtomicU64, total: f64, amount: f64) -> Result<f64, f64> {
+    let mut cur = bits.load(Ordering::Acquire);
+    loop {
+        let spent = f64::from_bits(cur);
+        let remaining = (total - spent).max(0.0);
+        // Exactly `BudgetLedger::check`: an exhausted column refuses
+        // *every* debit (the dust guard), otherwise one slack of
+        // headroom absorbs f64 rounding.
+        if remaining <= total * RELATIVE_SLACK || amount > remaining + total * RELATIVE_SLACK {
+            return Err(remaining);
+        }
+        let new_spent = (spent + amount).min(total);
+        match bits.compare_exchange_weak(
+            cur,
+            new_spent.to_bits(),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => return Ok(new_spent - spent),
+            Err(actual) => cur = actual,
+        }
+    }
+}
+
+/// Refunds an amount previously applied by [`column_reserve`]. Only ever
+/// *reduces* spend, so it cannot weaken the over-spend bound; the floor
+/// at zero guards the (unreachable in practice) case of refunding more
+/// than the column holds.
+fn column_rollback(bits: &AtomicU64, applied: f64) {
+    if applied <= 0.0 {
+        return;
+    }
+    let mut cur = bits.load(Ordering::Acquire);
+    loop {
+        let new_spent = (f64::from_bits(cur) - applied).max(0.0);
+        match bits.compare_exchange_weak(
+            cur,
+            new_spent.to_bits(),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => return,
+            Err(actual) => cur = actual,
+        }
+    }
+}
+
+/// Side-effect-free evaluation of one column's admission predicate.
+fn column_check(bits: &AtomicU64, total: f64, amount: f64) -> Result<(), f64> {
+    let spent = f64::from_bits(bits.load(Ordering::Acquire));
+    let remaining = (total - spent).max(0.0);
+    if remaining <= total * RELATIVE_SLACK || amount > remaining + total * RELATIVE_SLACK {
+        return Err(remaining);
+    }
+    Ok(())
+}
+
 impl DurableLedger {
     /// A pure ε-DP ledger with no journal: same two-phase API,
-    /// process-lifetime durability (the previous behavior of the
-    /// serving runtime).
+    /// process-lifetime durability.
     pub fn in_memory(total: Epsilon) -> Self {
         Self::in_memory_budget(Budget::pure(total))
     }
 
     /// An (ε, δ) ledger with no journal.
     pub fn in_memory_budget(total: Budget) -> Self {
+        Self::from_state(total.eps().value(), total.delta(), 0.0, 0.0, 0, 0, None)
+    }
+
+    fn from_state(
+        total: f64,
+        delta_total: f64,
+        spent: f64,
+        delta_spent: f64,
+        debits: usize,
+        next_id: u64,
+        journal: Option<LedgerJournal>,
+    ) -> Self {
         Self {
-            inner: Arc::new(Mutex::new(Inner {
-                ledger: BudgetLedger::with_budget(total),
-                reserved: 0.0,
-                reserved_delta: 0.0,
-                pending: HashMap::new(),
-                next_id: 0,
-                journal: None,
-            })),
+            inner: Arc::new(Inner {
+                total,
+                delta_total,
+                spent_bits: AtomicU64::new(spent.to_bits()),
+                delta_spent_bits: AtomicU64::new(delta_spent.to_bits()),
+                debits: AtomicUsize::new(debits),
+                settle: Mutex::new(Settlement {
+                    pending: HashMap::new(),
+                    next_id,
+                    journal,
+                }),
+            }),
         }
     }
 
@@ -203,57 +317,108 @@ impl DurableLedger {
             settled_delta,
             debits,
         )?;
+        let recovered = resumed && !rep.corrupted;
         let summary = ResumeSummary {
             resumed: resumed && rep.records > 0,
             corrupted: rep.corrupted,
             replayed: rep.records,
             spent: settled,
             delta_spent: settled_delta,
-            recovered_pending: if resumed && !rep.corrupted {
-                pending_sum
-            } else {
-                0.0
-            },
-            recovered_pending_delta: if resumed && !rep.corrupted {
-                pending_delta
-            } else {
-                0.0
-            },
+            recovered_pending: if recovered { pending_sum } else { 0.0 },
+            recovered_pending_delta: if recovered { pending_delta } else { 0.0 },
         };
-        Ok((
-            Self {
-                inner: Arc::new(Mutex::new(Inner {
-                    ledger: BudgetLedger::restore(
-                        total_eps,
-                        settled,
-                        total_delta,
-                        settled_delta,
-                        debits as usize,
-                    ),
-                    reserved: 0.0,
-                    reserved_delta: 0.0,
-                    pending: HashMap::new(),
-                    next_id: rep.next_id,
-                    journal: Some(journal),
-                })),
-            },
-            summary,
-        ))
+        let ledger = Self::from_state(
+            total_eps,
+            total_delta,
+            settled,
+            settled_delta,
+            debits as usize,
+            rep.next_id,
+            Some(journal),
+        );
+        Ok((ledger, summary))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    /// Locks the settlement bookkeeping, recovering from poisoning: a
+    /// panic in one worker must not turn every later budget operation
+    /// into a second panic — the spend columns themselves are atomics
+    /// and always valid.
+    fn settlement(&self) -> MutexGuard<'_, Settlement> {
+        self.inner.settle.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Whether `eps` could currently be reserved (reservations held by
-    /// in-flight debits count as spent).
+    /// Reserves both columns of `budget` atomically (ε first, δ second;
+    /// a δ refusal rolls back the applied ε), returning the post-clamp
+    /// amounts applied to each column.
+    fn reserve(&self, budget: Budget) -> Result<(f64, f64), BudgetError> {
+        let inner = &*self.inner;
+        let eps = budget.eps().value();
+        let delta = budget.delta();
+        // Fail fast on the δ column before churning ε: purely advisory
+        // (the authoritative δ check is the CAS below), but it spares
+        // the ε rollback in the common δ-exhausted refusal.
+        if delta > 0.0 {
+            column_check(&inner.delta_spent_bits, inner.delta_total, delta).map_err(
+                |remaining| BudgetError::DeltaExhausted {
+                    requested: delta,
+                    remaining,
+                },
+            )?;
+        }
+        let applied_eps =
+            column_reserve(&inner.spent_bits, inner.total, eps).map_err(|remaining| {
+                BudgetError::Exhausted {
+                    requested: eps,
+                    remaining,
+                }
+            })?;
+        if delta == 0.0 {
+            return Ok((applied_eps, 0.0));
+        }
+        match column_reserve(&inner.delta_spent_bits, inner.delta_total, delta) {
+            Ok(applied_delta) => Ok((applied_eps, applied_delta)),
+            Err(remaining) => {
+                column_rollback(&inner.spent_bits, applied_eps);
+                Err(BudgetError::DeltaExhausted {
+                    requested: delta,
+                    remaining,
+                })
+            }
+        }
+    }
+
+    /// Side-effect-free admission check: could `eps` be reserved right
+    /// now? Live reservations count as spent.
+    ///
+    /// Under contention this is advisory — another thread may spend the
+    /// budget between a successful `check` and the later
+    /// [`begin_budget`](DurableLedger::begin_budget), which is why the
+    /// reservation re-validates atomically. Use `check` to fail fast at
+    /// admission, never as a reservation.
     pub fn check(&self, eps: Epsilon) -> Result<(), BudgetError> {
-        self.lock().view().check(eps)
+        column_check(&self.inner.spent_bits, self.inner.total, eps.value()).map_err(|remaining| {
+            BudgetError::Exhausted {
+                requested: eps.value(),
+                remaining,
+            }
+        })
     }
 
-    /// Whether an (ε, δ) budget could currently be reserved.
+    /// Side-effect-free admission check over both (ε, δ) columns. A pure
+    /// (δ = 0) budget never consults the δ column, so pure traffic still
+    /// flows through a δ-exhausted ledger.
     pub fn check_budget(&self, budget: Budget) -> Result<(), BudgetError> {
-        self.lock().view().check_budget(budget)
+        self.check(budget.eps())?;
+        let delta = budget.delta();
+        if delta > 0.0 {
+            column_check(&self.inner.delta_spent_bits, self.inner.delta_total, delta).map_err(
+                |remaining| BudgetError::DeltaExhausted {
+                    requested: delta,
+                    remaining,
+                },
+            )?;
+        }
+        Ok(())
     }
 
     /// Phase one of a pure ε-DP debit. See
@@ -266,144 +431,197 @@ impl DurableLedger {
     /// records the intent. Only after this returns `Ok` may noise be
     /// drawn for the release it covers. On `Err`, nothing is reserved
     /// and nothing may be released.
+    ///
+    /// The reservation itself is lock-free; only recording the intent
+    /// takes the settlement mutex, and a refused reservation returns
+    /// before ever touching it.
     pub fn begin_budget(&self, budget: Budget) -> Result<u64, DurableError> {
-        let mut inner = self.lock();
-        inner.view().check_budget(budget)?;
-        let id = inner.next_id;
-        if let Some(journal) = &mut inner.journal {
+        let applied = self.reserve(budget)?;
+        let mut settlement = self.settlement();
+        let id = settlement.next_id;
+        if let Some(journal) = &mut settlement.journal {
             // An append failure may still have torn bytes onto disk;
             // replay drops a torn tail, consistent with "no noise was
             // drawn for this debit".
-            journal
-                .append(&Record::Intent {
-                    id,
-                    eps: budget.eps().value(),
-                    delta: budget.delta(),
-                })
-                .map_err(DurableError::Io)?;
+            let intent = Record::Intent {
+                id,
+                eps: budget.eps().value(),
+                delta: budget.delta(),
+            };
+            if let Err(e) = journal.append(&intent) {
+                column_rollback(&self.inner.spent_bits, applied.0);
+                column_rollback(&self.inner.delta_spent_bits, applied.1);
+                return Err(DurableError::Io(e));
+            }
         }
-        inner.next_id += 1;
-        inner
-            .pending
-            .insert(id, (budget.eps().value(), budget.delta()));
-        inner.reserved += budget.eps().value();
-        inner.reserved_delta += budget.delta();
+        settlement.next_id += 1;
+        settlement.pending.insert(id, applied);
         Ok(id)
     }
 
     /// Phase two, success path: finalizes debit `id` and returns the
     /// remaining ε budget. Must be called *before* the noisy answer
-    /// escapes the process. Unknown ids are a no-op (tolerated so a
-    /// supervisor replaying work cannot double-debit).
+    /// escapes the process. Never refuses — admission happened at
+    /// [`begin_budget`](DurableLedger::begin_budget). Unknown (or
+    /// already-settled) ids only report the remainder, so a supervisor
+    /// replaying work cannot double-debit.
     pub fn settle(&self, id: u64) -> f64 {
-        let mut inner = self.lock();
-        let Some((eps, delta)) = inner.pending.remove(&id) else {
-            return inner.view().remaining();
-        };
-        inner.reserved = (inner.reserved - eps).max(0.0);
-        inner.reserved_delta = (inner.reserved_delta - delta).max(0.0);
-        // Force the local debit (never refuse): admission was checked at
-        // begin() and the release is already committed to happen.
-        inner.ledger = BudgetLedger::restore(
-            inner.ledger.total(),
-            inner.ledger.spent() + eps,
-            inner.ledger.delta_total(),
-            inner.ledger.delta_spent() + delta,
-            inner.ledger.debits() + 1,
-        );
-        if let Some(journal) = &mut inner.journal {
-            // Tolerated on failure: the on-disk intent replays as spent,
-            // which is exactly the local state we just committed.
-            let _ = journal.append(&Record::Settle { id });
+        let mut settlement = self.settlement();
+        if settlement.pending.remove(&id).is_some() {
+            self.inner.debits.fetch_add(1, Ordering::Relaxed);
+            if let Some(journal) = &mut settlement.journal {
+                // Tolerated on failure: the on-disk intent replays as
+                // spent, which is exactly the local state.
+                let _ = journal.append(&Record::Settle { id });
+            }
         }
-        inner.view().remaining()
+        drop(settlement);
+        self.remaining()
     }
 
     /// Phase two, failure path: refunds debit `id` whose noise was
-    /// never released. The refund only happens if the `Abort` record is
-    /// durably appended; otherwise the reservation is kept forever
-    /// (conservative — the on-disk intent would replay as spent).
+    /// never released, returning exactly the post-clamp amounts its
+    /// reservation applied. With a journal, the refund only happens if
+    /// the `Abort` record is durably appended; otherwise the
+    /// reservation is kept forever (conservative — the on-disk intent
+    /// would replay as spent). Aborting an unknown id is a no-op.
     pub fn abort(&self, id: u64) {
-        let mut inner = self.lock();
-        let Some((eps, delta)) = inner.pending.remove(&id) else {
+        let mut settlement = self.settlement();
+        let Some((eps, delta)) = settlement.pending.remove(&id) else {
             return;
         };
-        let refund = match &mut inner.journal {
+        let refund = match &mut settlement.journal {
             Some(journal) => journal.append(&Record::Abort { id }).is_ok(),
             None => true,
         };
         if refund {
-            inner.reserved = (inner.reserved - eps).max(0.0);
-            inner.reserved_delta = (inner.reserved_delta - delta).max(0.0);
+            column_rollback(&self.inner.spent_bits, eps);
+            column_rollback(&self.inner.delta_spent_bits, delta);
         }
     }
 
-    /// Convenience single-phase debit: `begin` + immediate `settle`.
+    /// Single-phase debit: `begin` + immediate `settle`, returning the
+    /// remaining ε budget.
     pub fn debit(&self, eps: Epsilon) -> Result<f64, DurableError> {
-        let id = self.begin(eps)?;
-        Ok(self.settle(id))
+        self.debit_budget(Budget::pure(eps))
     }
 
-    /// Convenience single-phase (ε, δ) debit.
+    /// Single-phase (ε, δ) debit: `begin_budget` + immediate `settle`,
+    /// returning the remaining ε (the δ remainder is available via
+    /// [`DurableLedger::delta_remaining`]).
     pub fn debit_budget(&self, budget: Budget) -> Result<f64, DurableError> {
         let id = self.begin_budget(budget)?;
         Ok(self.settle(id))
     }
 
+    /// Intents reserved but not yet settled or aborted.
+    pub fn pending(&self) -> usize {
+        self.settlement().pending.len()
+    }
+
+    /// A point-in-time copy of the *settled* accounting (live
+    /// reservations excluded, as for [`spent`](DurableLedger::spent)),
+    /// for reporting.
+    pub fn snapshot(&self) -> BudgetLedger {
+        let (spent, delta_spent) = self.settled();
+        BudgetLedger::restore(
+            self.inner.total,
+            spent,
+            self.inner.delta_total,
+            delta_spent,
+            self.debits(),
+        )
+    }
+
+    /// Settled (ε, δ) spend: the spend columns minus what live intents
+    /// hold. Read under the settlement lock, so no intent settles or
+    /// aborts mid-read; a reservation still on its way to the lock shows
+    /// as spent for that instant (over-reports, never under-reports).
+    fn settled(&self) -> (f64, f64) {
+        let settlement = self.settlement();
+        let (eps, delta) = settlement
+            .pending
+            .values()
+            .fold((0.0, 0.0), |(e, d), &(pe, pd)| (e + pe, d + pd));
+        (
+            (self.committed() - eps).max(0.0),
+            (self.delta_committed() - delta).max(0.0),
+        )
+    }
+
+    /// Cumulative ε spend *including* live reservations — what admission
+    /// sees, and what a crash would replay as spent.
+    fn committed(&self) -> f64 {
+        f64::from_bits(self.inner.spent_bits.load(Ordering::Acquire))
+    }
+
+    /// Cumulative δ spend including live reservations.
+    fn delta_committed(&self) -> f64 {
+        f64::from_bits(self.inner.delta_spent_bits.load(Ordering::Acquire))
+    }
+
     /// The fixed total ε.
     pub fn total(&self) -> f64 {
-        self.lock().ledger.total()
+        self.inner.total
     }
 
     /// The fixed total δ (0 for a pure ε-DP ledger).
     pub fn delta_total(&self) -> f64 {
-        self.lock().ledger.delta_total()
+        self.inner.delta_total
     }
 
-    /// Settled (released) ε spend — excludes live reservations.
+    /// Settled (released) ε spend — excludes live reservations, which
+    /// still bind admission through [`remaining`](DurableLedger::remaining).
+    /// Equals `total − remaining` whenever no intent is pending.
     pub fn spent(&self) -> f64 {
-        self.lock().ledger.spent()
+        self.settled().0
     }
 
     /// Settled (released) δ spend — excludes live reservations.
     pub fn delta_spent(&self) -> f64 {
-        self.lock().ledger.delta_spent()
+        self.settled().1
     }
 
-    /// ε reserved by in-flight debits.
-    pub fn reserved(&self) -> f64 {
-        self.lock().reserved
-    }
-
-    /// δ reserved by in-flight debits.
-    pub fn reserved_delta(&self) -> f64 {
-        self.lock().reserved_delta
-    }
-
-    /// ε budget available for new reservations.
+    /// ε budget available for new reservations (live reservations count
+    /// as spent), never negative.
     pub fn remaining(&self) -> f64 {
-        self.lock().view().remaining()
+        (self.inner.total - self.committed()).max(0.0)
     }
 
-    /// δ budget available for new reservations.
+    /// δ budget available for new reservations, never negative.
     pub fn delta_remaining(&self) -> f64 {
-        self.lock().view().delta_remaining()
+        (self.inner.delta_total - self.delta_committed()).max(0.0)
     }
 
     /// Number of settled debits.
     pub fn debits(&self) -> usize {
-        self.lock().ledger.debits()
+        self.inner.debits.load(Ordering::Relaxed)
     }
 
-    /// Whether reservations have (numerically) exhausted the ε budget.
+    /// Whether settled spend and live reservations have (numerically)
+    /// exhausted the ε budget.
     pub fn is_exhausted(&self) -> bool {
-        self.lock().view().is_exhausted()
+        self.remaining() <= self.inner.total * RELATIVE_SLACK
     }
 
-    /// A point-in-time copy of the *settled* accounting (reservations
-    /// excluded), for reporting.
-    pub fn snapshot(&self) -> BudgetLedger {
-        self.lock().ledger.clone()
+    /// Whether the remaining δ budget is (numerically) zero. A pure ε-DP
+    /// ledger (δ-total 0) reports `true`: it has no δ to spend.
+    pub fn is_delta_exhausted(&self) -> bool {
+        self.delta_remaining() <= self.inner.delta_total * RELATIVE_SLACK
+    }
+}
+
+impl fmt::Debug for DurableLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("DurableLedger")
+            .field(&self.snapshot())
+            .finish()
+    }
+}
+
+impl fmt::Display for DurableLedger {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.snapshot())
     }
 }
 
@@ -422,6 +640,68 @@ mod tests {
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("lrm_durable_{name}_{}.epsj", std::process::id()))
+    }
+
+    #[test]
+    fn clones_share_state() {
+        let a = DurableLedger::in_memory(eps(1.0));
+        let b = a.clone();
+        a.debit(eps(0.25)).unwrap();
+        b.debit(eps(0.25)).unwrap();
+        assert!((a.spent() - 0.5).abs() < 1e-15);
+        assert_eq!(a.debits(), 2);
+        assert_eq!(b.debits(), 2);
+    }
+
+    #[test]
+    fn check_then_debit_round_trip() {
+        let l = DurableLedger::in_memory(eps(0.2));
+        assert!(l.check(eps(0.2)).is_ok());
+        assert!(l.check(eps(0.3)).is_err());
+        l.debit(eps(0.2)).unwrap();
+        assert!(l.is_exhausted());
+        assert!(matches!(
+            l.debit(eps(0.1)),
+            Err(DurableError::Budget(BudgetError::Exhausted { .. }))
+        ));
+    }
+
+    #[test]
+    fn snapshot_is_a_copy() {
+        let l = DurableLedger::in_memory(eps(1.0));
+        let before = l.snapshot();
+        l.debit(eps(0.5)).unwrap();
+        assert_eq!(before.spent(), 0.0);
+        assert!((l.snapshot().spent() - 0.5).abs() < 1e-15);
+        assert!((l.remaining() - 0.5).abs() < 1e-15);
+        assert!((l.total() - 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn two_phase_reserve_settle_abort() {
+        let l = DurableLedger::in_memory_budget(budget(1.0, 1e-5));
+        let id = l.begin_budget(budget(0.7, 4e-6)).unwrap();
+        assert_eq!(l.pending(), 1);
+        // The live reservation counts as spent for concurrent checks.
+        assert!(l.check(eps(0.5)).is_err());
+        assert!(l.check_budget(budget(0.1, 7e-6)).is_err());
+        l.abort(id);
+        assert_eq!(l.pending(), 0);
+        assert_eq!(l.debits(), 0);
+        assert!(l.check(eps(0.5)).is_ok());
+        assert!((l.spent()).abs() < 1e-15);
+        assert!((l.delta_spent()).abs() < 1e-20);
+
+        let id = l.begin_budget(budget(0.7, 4e-6)).unwrap();
+        let remaining = l.settle(id);
+        assert!((remaining - 0.3).abs() < 1e-12);
+        assert!((l.delta_remaining() - 6e-6).abs() < 1e-18);
+        assert_eq!(l.debits(), 1);
+        // Settling twice (or an unknown id) is a harmless report.
+        assert!((l.settle(id) - 0.3).abs() < 1e-12);
+        assert_eq!(l.debits(), 1);
+        l.abort(9999);
+        assert!((l.spent() - 0.7).abs() < 1e-12);
     }
 
     #[test]
@@ -453,6 +733,59 @@ mod tests {
         ledger.abort(42);
         assert_eq!(ledger.spent(), before);
         assert_eq!(ledger.debits(), 0);
+    }
+
+    #[test]
+    fn delta_refusal_rolls_back_the_eps_column() {
+        let l = DurableLedger::in_memory_budget(budget(1.0, 1e-6));
+        // ε fits, δ does not: neither column may hold anything after.
+        let err = l.debit_budget(budget(0.1, 2e-6)).unwrap_err();
+        assert!(matches!(
+            err,
+            DurableError::Budget(BudgetError::DeltaExhausted { .. })
+        ));
+        assert_eq!(l.spent(), 0.0);
+        assert_eq!(l.delta_spent(), 0.0);
+        assert_eq!(l.debits(), 0);
+        // Pure traffic still flows after δ exhaustion.
+        l.debit_budget(budget(0.1, 1e-6)).unwrap();
+        assert!(l.is_delta_exhausted());
+        assert!(l.debit_budget(budget(0.1, 1e-18)).is_err());
+        l.debit_budget(budget(0.2, 0.0)).unwrap();
+        assert!((l.spent() - 0.3).abs() < 1e-15);
+    }
+
+    #[test]
+    fn pure_ledger_refuses_any_delta() {
+        let l = DurableLedger::in_memory(eps(1.0));
+        assert_eq!(l.delta_total(), 0.0);
+        assert!(l.is_delta_exhausted());
+        assert!(l.debit_budget(budget(0.1, 1e-12)).is_err());
+        l.debit_budget(budget(0.1, 0.0)).unwrap();
+        assert_eq!(l.debits(), 1);
+    }
+
+    #[test]
+    fn survives_a_poisoned_settlement_lock() {
+        let l = DurableLedger::in_memory(eps(1.0));
+        let l2 = l.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = l2.inner.settle.lock().unwrap();
+            panic!("poison the settlement lock");
+        })
+        .join();
+        // The ledger stays usable and consistent after the panic.
+        let id = l.begin_budget(budget(0.5, 0.0)).unwrap();
+        l.settle(id);
+        assert!((l.spent() - 0.5).abs() < 1e-15);
+    }
+
+    #[test]
+    fn display_and_debug_render() {
+        let l = DurableLedger::in_memory(eps(1.0));
+        l.debit(eps(0.5)).unwrap();
+        assert!(l.to_string().contains("1 release"));
+        assert!(format!("{l:?}").contains("DurableLedger"));
     }
 
     #[test]
@@ -647,7 +980,7 @@ mod tests {
         let id = ledger.begin_budget(budget(0.5, 1e-6)).unwrap();
         assert!(ledger.check_budget(budget(0.1, 1e-9)).is_err());
         ledger.abort(id);
-        assert_eq!(ledger.reserved_delta(), 0.0);
+        assert_eq!(ledger.delta_remaining(), 1e-6);
         assert!(ledger.check_budget(budget(0.1, 1e-7)).is_ok());
     }
 }

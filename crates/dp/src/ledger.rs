@@ -13,8 +13,8 @@ use std::fmt;
 
 /// Relative slack absorbing f64 rounding so that, e.g., ten debits of ε/10
 /// sum to exactly ε instead of being rejected by the last few ulps.
-/// Shared with [`crate::concurrent::SharedLedger`], whose lock-free fast
-/// path must refuse and clamp with exactly these semantics.
+/// Shared with [`crate::DurableLedger`], whose lock-free spend columns
+/// must refuse and clamp with exactly these semantics.
 pub(crate) const RELATIVE_SLACK: f64 = 1e-9;
 
 /// A sequential-composition ledger over a fixed total ε (and, under
@@ -69,10 +69,9 @@ impl BudgetLedger {
         }
     }
 
-    /// Reconstructs a ledger from journal replay (or builds an
-    /// admission view that counts reservations as spent); spends are
-    /// clamped into `[0, total]`, matching [`BudgetLedger::debit`]'s
-    /// own clamp.
+    /// Reconstructs a ledger from a [`crate::DurableLedger`]'s spend
+    /// columns, for reporting; spends are clamped into `[0, total]`,
+    /// matching [`BudgetLedger::debit`]'s own clamp.
     pub(crate) fn restore(
         total: f64,
         spent: f64,

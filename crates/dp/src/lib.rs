@@ -7,14 +7,14 @@
 //! * [`ledger`] — the [`BudgetLedger`], which debits a fixed total
 //!   (ε and, for approximate DP, δ) per release and refuses over-spends
 //!   with a typed [`BudgetError`].
-//! * [`concurrent`] — the [`SharedLedger`] thread-safe layer over the
-//!   ledger, preserving the one-slack over-spend bound under contention.
-//! * [`journal`] + [`durable`] — the crash-durable layer: a CRC-framed
-//!   write-ahead journal (`LRMJ`, v2 with δ-carrying frames) and the
-//!   [`DurableLedger`] two-phase debit protocol (intent → settle/abort)
-//!   built on it, so a tenant's (ε, δ)-spend survives process restarts
-//!   and a kill at any instant can only waste budget, never refund it
-//!   (what the `lrm-server` per-tenant ledgers are built on).
+//! * [`durable`] + [`journal`] — the [`DurableLedger`], the one
+//!   thread-safe ledger the `lrm-server` tenants spend through: lock-free
+//!   (ε, δ) spend columns that keep the one-slack over-spend bound under
+//!   contention, a two-phase debit protocol (intent → settle/abort), and
+//!   an optional CRC-framed write-ahead journal (`LRMJ`, v2 with
+//!   δ-carrying frames) under which a tenant's spend survives process
+//!   restarts and a kill at any instant can only waste budget, never
+//!   refund it.
 //! * [`error`] — the typed [`DpError`] every constructor in this crate
 //!   reports.
 //! * [`laplace`] — Laplace distribution sampling (inverse-CDF), the noise
@@ -33,7 +33,6 @@
 //!   lanes for coalesced-batch noise top-ups.
 
 pub mod budget;
-pub mod concurrent;
 pub mod durable;
 pub mod error;
 pub mod gaussian;
@@ -44,7 +43,6 @@ pub mod rng;
 pub mod sensitivity;
 
 pub use budget::{Budget, Epsilon};
-pub use concurrent::SharedLedger;
 pub use durable::{DurableError, DurableLedger, ResumeSummary};
 pub use error::DpError;
 pub use gaussian::{gaussian_profile_delta, Gaussian};

@@ -12,10 +12,12 @@
 //! pool** answers each batch through the
 //! shared compiled-strategy [`Engine`](lrm_core::engine::Engine) cache
 //! with one noise draw per strategy column, and **per-tenant budget
-//! ledgers** ([`lrm_dp::DurableLedger`]) run a two-phase debit around
-//! every release — over-spends are typed refusals, never silent, and
-//! with a [state directory](server::ServerBuilder::state_dir) the
-//! accounting survives crashes and restarts. Worker panics are contained
+//! ledgers** (one [`lrm_dp::DurableLedger`] per tenant, lock-free at
+//! admission) run a two-phase debit around every release — over-spends
+//! are typed refusals, never silent, and with a
+//! [state directory](server::ServerBuilder::state_dir) the ledger
+//! journals every debit, so the accounting survives crashes and
+//! restarts. Worker panics are contained
 //! (the offending shape is quarantined, the pool never empties), compile
 //! overruns degrade to a guaranteed-fast fallback at the same budget,
 //! and a bounded queue sheds load synchronously (see the
@@ -78,7 +80,7 @@ pub mod tickets;
 pub use metrics::MetricsSnapshot;
 pub use server::{Client, Release, Server, ServerBuilder, ServerError, ServerReport, Ticket};
 pub use spec::{PreparedRows, PreparedSpec, QuerySpec, SpecClass, SpecError};
-pub use tenants::{AdmissionError, TenantResume, TenantSpend, TenantTelemetry};
+pub use tenants::{AdmissionError, TenantSpend, TenantTelemetry};
 pub use tickets::{Completion, TicketSet};
 
 // Cross-thread sharing audit: the scheduler, every worker, and every
@@ -92,7 +94,6 @@ const _: () = {
     assert_send_sync::<lrm_core::engine::CompiledMechanism>();
     assert_send_sync::<lrm_workload::Workload>();
     assert_send_sync::<lrm_workload::Schema>();
-    assert_send_sync::<lrm_dp::SharedLedger>();
     assert_send_sync::<lrm_dp::DurableLedger>();
     assert_send_sync::<Release>();
     assert_send_sync::<ServerError>();

@@ -97,9 +97,7 @@ use crate::coalesce::{combine, BatchKey, RankTracker};
 use crate::farm::{shape_hash, Claim, FarmState};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::spec::{PreparedSpec, QuerySpec, SpecError};
-use crate::tenants::{
-    AdmissionError, BurnTracker, TenantLedgers, TenantResume, TenantSpend, TenantTelemetry,
-};
+use crate::tenants::{AdmissionError, BurnTracker, TenantLedgers, TenantSpend, TenantTelemetry};
 use crate::tickets::{Completion, Responder, TicketSet};
 use lrm_core::engine::{
     CacheStats, CompileOptions, CompiledMechanism, Engine, MechanismKind, NoiseFlavor,
@@ -107,7 +105,7 @@ use lrm_core::engine::{
 use lrm_core::error::CoreError;
 use lrm_core::mechanism::Mechanism;
 use lrm_dp::rng::{derive_rng, substream};
-use lrm_dp::{Budget, Epsilon};
+use lrm_dp::{Budget, Epsilon, ResumeSummary};
 use lrm_workload::{Schema, Workload, WorkloadError};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -533,7 +531,7 @@ impl Server {
         &self,
         tenant: &str,
         total: Epsilon,
-    ) -> Result<TenantResume, ServerError> {
+    ) -> Result<ResumeSummary, ServerError> {
         self.try_register_tenant_budget(tenant, Budget::pure(total))
     }
 
@@ -543,7 +541,7 @@ impl Server {
         &self,
         tenant: &str,
         total: Budget,
-    ) -> Result<TenantResume, ServerError> {
+    ) -> Result<ResumeSummary, ServerError> {
         self.tenants
             .register_budget(tenant, total)
             .map_err(ServerError::Admission)

@@ -1,96 +1,37 @@
-//! Per-tenant budget ledgers, durably journaled.
+//! Per-tenant budget ledgers, optionally journaled.
 //!
-//! Every tenant (analyst) owns one ledger — a [`DurableLedger`] when the
-//! server journals to a state directory, the lock-free [`SharedLedger`]
-//! fast path otherwise: the scheduler
-//! admission-checks against it (fail fast, advisory) and a worker runs
-//! the two-phase debit protocol around every release — an `Intent` is
-//! durably recorded *before* noise is drawn, the debit settles *before*
-//! the tenant's answer slice leaves the server, and an intent whose
-//! noise was never released is aborted (refunded only if the abort is
-//! durably recorded). With a state directory configured, each tenant's
-//! ledger is backed by a fsync'd write-ahead journal
-//! ([`lrm_dp::journal`]): a crash replays every unsettled intent as
-//! spent, so the server can over-charge a tenant across a kill but can
-//! never under-charge one. A slice that fails settlement is never
-//! released: withholding it is privacy-free (nothing about the data is
-//! observable from a response that never arrives), so a refused debit
-//! spends nothing.
+//! Every tenant (analyst) owns one [`DurableLedger`]: the scheduler
+//! admission-checks against it (fail fast, advisory, lock-free) and a
+//! worker runs the two-phase debit protocol around every release — an
+//! intent is reserved (and, with a journal, durably recorded) *before*
+//! noise is drawn, the debit settles *before* the tenant's answer slice
+//! leaves the server, and an intent whose noise was never released is
+//! aborted (refunded only if the abort is durably recorded). With a
+//! state directory configured, each tenant's ledger is backed by a
+//! fsync'd write-ahead journal ([`lrm_dp::journal`]): a crash replays
+//! every unsettled intent as spent, so the server can over-charge a
+//! tenant across a kill but can never under-charge one. Without one,
+//! the same ledger runs with no journal and lives as long as the
+//! process. A slice that fails settlement is never released: withholding
+//! it is privacy-free (nothing about the data is observable from a
+//! response that never arrives), so a refused debit spends nothing.
 //!
 //! Grants and releases are full (ε, δ) [`Budget`]s: pure tenants carry
 //! δ = 0 and behave exactly as before, Gaussian tenants reserve, settle,
 //! and recover *both* columns through the same two-phase protocol — a
 //! crash replays unsettled δ as spent just like unsettled ε.
 
-use lrm_dp::{
-    Budget, BudgetError, BudgetLedger, DurableError, DurableLedger, Epsilon, SharedLedger,
-};
+use lrm_dp::{Budget, BudgetError, DurableError, DurableLedger, Epsilon, ResumeSummary};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// One tenant's ledger handle: durable (journaled, fsync on every
-/// intent) when the server has a state directory, or the lock-free
-/// [`SharedLedger`] fast path when it does not. Both run the same
-/// two-phase reserve-then-settle protocol; the fast path keeps the
-/// admission-storm case (thousands of concurrent submits against one
-/// tenant) off any mutex.
-#[derive(Debug, Clone)]
-pub(crate) enum TenantLedger {
-    Durable(DurableLedger),
-    Fast(SharedLedger),
-}
-
-impl TenantLedger {
-    fn check_budget(&self, budget: Budget) -> Result<(), BudgetError> {
-        match self {
-            TenantLedger::Durable(l) => l.check_budget(budget),
-            TenantLedger::Fast(l) => l.check_budget(budget),
-        }
-    }
-
-    fn begin_budget(&self, budget: Budget) -> Result<u64, DurableError> {
-        match self {
-            TenantLedger::Durable(l) => l.begin_budget(budget),
-            TenantLedger::Fast(l) => l.begin_budget(budget).map_err(DurableError::Budget),
-        }
-    }
-
-    fn settle(&self, id: u64) -> f64 {
-        match self {
-            TenantLedger::Durable(l) => l.settle(id),
-            TenantLedger::Fast(l) => l.settle(id),
-        }
-    }
-
-    fn abort(&self, id: u64) {
-        match self {
-            TenantLedger::Durable(l) => l.abort(id),
-            TenantLedger::Fast(l) => l.abort(id),
-        }
-    }
-
-    fn delta_remaining(&self) -> f64 {
-        match self {
-            TenantLedger::Durable(l) => l.delta_remaining(),
-            TenantLedger::Fast(l) => l.delta_remaining(),
-        }
-    }
-
-    fn snapshot(&self) -> BudgetLedger {
-        match self {
-            TenantLedger::Durable(l) => l.snapshot(),
-            TenantLedger::Fast(l) => l.snapshot(),
-        }
-    }
-}
-
 /// The tenant registry: a concurrent map of tenant id → budget ledger.
 #[derive(Debug, Default)]
 pub(crate) struct TenantLedgers {
-    ledgers: RwLock<HashMap<String, TenantLedger>>,
+    ledgers: RwLock<HashMap<String, DurableLedger>>,
     /// Journal directory; `None` keeps every ledger in memory (the
     /// previous behavior — durability for the process lifetime only).
     dir: Option<PathBuf>,
@@ -100,41 +41,28 @@ pub(crate) struct TenantLedgers {
 
 /// One tenant's budget position, reported in the
 /// [`ServerReport`](crate::server::ServerReport).
+///
+/// `spent`, `delta_spent` and `releases` count *settled* releases only.
+/// An intent reserved but not yet settled or aborted is left out here,
+/// though it already binds admission and a crash would replay it as
+/// spent. Once no release is in flight, nothing is reserved and these
+/// figures are the tenant's whole spend — except for a release whose
+/// worker died between noise and settlement, whose reservation stays
+/// held (never refunded) until a restart replays it as spent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpend {
     /// Tenant id.
     pub tenant: String,
     /// The total ε this tenant registered with.
     pub total: f64,
-    /// Cumulative ε granted to this tenant.
+    /// Cumulative ε of this tenant's settled releases.
     pub spent: f64,
     /// The total δ this tenant registered with (`0` for pure grants).
     pub delta_total: f64,
-    /// Cumulative δ granted to this tenant.
+    /// Cumulative δ of this tenant's settled releases.
     pub delta_spent: f64,
-    /// Number of granted releases.
+    /// Number of settled releases.
     pub releases: usize,
-}
-
-/// What registering a tenant found on disk (see
-/// [`Server::try_register_tenant`](crate::server::Server::try_register_tenant)).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TenantResume {
-    /// Whether a prior journal with the same total was honored.
-    pub resumed: bool,
-    /// Whether the journal was damaged; the ledger opened fully
-    /// exhausted (conservative).
-    pub corrupted: bool,
-    /// Settled ε spend after recovery.
-    pub spent: f64,
-    /// ε reserved by a previous process but never released, now folded
-    /// into the spend.
-    pub recovered_pending: f64,
-    /// Settled δ spend after recovery (`0` for pure grants).
-    pub delta_spent: f64,
-    /// δ reserved by a previous process but never released, now folded
-    /// into the spend.
-    pub recovered_pending_delta: f64,
 }
 
 impl TenantLedgers {
@@ -149,56 +77,38 @@ impl TenantLedgers {
 
     /// Registers (or resets) a tenant with a fresh pure-ε budget,
     /// resuming its durable journal when one exists with the same total.
-    pub fn register(&self, tenant: &str, total: Epsilon) -> Result<TenantResume, AdmissionError> {
+    pub fn register(&self, tenant: &str, total: Epsilon) -> Result<ResumeSummary, AdmissionError> {
         self.register_budget(tenant, Budget::pure(total))
     }
 
     /// Registers (or resets) a tenant with a fresh (ε, δ) budget,
     /// resuming its durable journal when one exists with the same totals
     /// (a grant whose ε *or* δ total changed resets instead of resuming).
+    /// Without a state directory the ledger has no journal and the
+    /// summary reports a fresh grant.
     pub fn register_budget(
         &self,
         tenant: &str,
         total: Budget,
-    ) -> Result<TenantResume, AdmissionError> {
+    ) -> Result<ResumeSummary, AdmissionError> {
+        let ledger_error = |e: std::io::Error| AdmissionError::Ledger {
+            tenant: tenant.to_string(),
+            reason: e.to_string(),
+        };
         let (ledger, resume) = match &self.dir {
             Some(dir) => {
-                std::fs::create_dir_all(dir).map_err(|e| AdmissionError::Ledger {
-                    tenant: tenant.to_string(),
-                    reason: e.to_string(),
-                })?;
+                std::fs::create_dir_all(dir).map_err(ledger_error)?;
                 let path = dir.join(ledger_file_name(tenant));
-                let (ledger, summary) = DurableLedger::open_budget(&path, total).map_err(|e| {
-                    AdmissionError::Ledger {
-                        tenant: tenant.to_string(),
-                        reason: e.to_string(),
-                    }
-                })?;
+                let (ledger, summary) =
+                    DurableLedger::open_budget(&path, total).map_err(ledger_error)?;
                 if summary.resumed {
                     self.replays.fetch_add(1, Ordering::Relaxed);
                 }
-                (
-                    TenantLedger::Durable(ledger),
-                    TenantResume {
-                        resumed: summary.resumed,
-                        corrupted: summary.corrupted,
-                        spent: summary.spent,
-                        recovered_pending: summary.recovered_pending,
-                        delta_spent: summary.delta_spent,
-                        recovered_pending_delta: summary.recovered_pending_delta,
-                    },
-                )
+                (ledger, summary)
             }
             None => (
-                TenantLedger::Fast(SharedLedger::with_budget(total)),
-                TenantResume {
-                    resumed: false,
-                    corrupted: false,
-                    spent: 0.0,
-                    recovered_pending: 0.0,
-                    delta_spent: 0.0,
-                    recovered_pending_delta: 0.0,
-                },
+                DurableLedger::in_memory_budget(total),
+                ResumeSummary::default(),
             ),
         };
         self.ledgers
@@ -209,7 +119,7 @@ impl TenantLedgers {
     }
 
     /// The tenant's ledger handle, if registered.
-    pub fn get(&self, tenant: &str) -> Option<TenantLedger> {
+    pub fn get(&self, tenant: &str) -> Option<DurableLedger> {
         self.ledgers
             .read()
             .unwrap_or_else(|e| e.into_inner())

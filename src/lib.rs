@@ -116,7 +116,7 @@ pub mod prelude {
     pub use lrm_core::mechanism::Mechanism;
     pub use lrm_core::CoreError;
     pub use lrm_dp::budget::Epsilon;
-    pub use lrm_dp::{BudgetError, BudgetLedger, DpError, SharedLedger};
+    pub use lrm_dp::{BudgetError, BudgetLedger, DpError, DurableLedger};
     pub use lrm_linalg::operator::{CsrOp, DenseOp, IntervalsOp, MatrixOp};
     pub use lrm_linalg::Matrix;
     pub use lrm_server::{
