@@ -624,16 +624,10 @@ impl WorkloadDecomposition {
         })
     }
 
-    /// Assembles a decomposition from explicit factors (used when loading
-    /// a cached decomposition from disk; see `crate::persistence`). The
-    /// residual must be `W − B·L` for the workload it will answer — the
-    /// loader recomputes it rather than trusting storage.
-    pub fn from_parts(b: Matrix, l: Matrix, residual: Matrix) -> Self {
-        Self::from_parts_with_norm(b, l, residual, SensitivityNorm::L1)
-    }
-
-    /// [`Self::from_parts`] with an explicit sensitivity norm — used when
-    /// loading an approximate-DP (L2/Gaussian) strategy from the store.
+    /// Assembles a decomposition from explicit factors under sensitivity
+    /// `norm` (used when the strategy store loads cached factors from
+    /// disk). The residual must be `W − B·L` for the workload it will
+    /// answer — the loader recomputes it rather than trusting storage.
     pub fn from_parts_with_norm(
         b: Matrix,
         l: Matrix,

@@ -10,7 +10,7 @@
 //! * [`Engine::compile`] — returns a [`CompiledMechanism`] (strategy +
 //!   [`CompileMeta`]: wall-time, rank, cache outcome, expected error at
 //!   the engine's reference ε), served through a two-layer
-//!   compiled-strategy cache (in-memory map + optional `LRMD` disk spill)
+//!   compiled-strategy cache (in-memory map + optional `LRMS` disk store)
 //!   keyed by the workload's content [`lrm_workload::Fingerprint`];
 //! * [`Engine::compile_best`] — argmin over a panel of kinds by
 //!   closed-form expected error (free: it reads only public quantities);

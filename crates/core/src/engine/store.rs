@@ -10,8 +10,8 @@
 //! hits then lazily load and revalidate factors; near misses lazily load
 //! factors as warm-start seeds.
 //!
-//! Trust model (same as the `LRMD` persistence format): nothing loaded
-//! from disk is served without revalidation. Shapes must fit the live
+//! Trust model: nothing loaded from disk is served without
+//! revalidation. Shapes must fit the live
 //! workload, the sensitivity constraint `Δ(L) ≤ 1` is re-checked, and the
 //! residual is always recomputed against the live workload — a stale or
 //! tampered file becomes a visible error or a huge residual, never a

@@ -5,8 +5,8 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Errors surfaced by mechanism compilation, query answering, or strategy
-/// persistence.
+/// Errors surfaced by mechanism compilation, query answering, or the
+/// strategy store.
 #[derive(Debug, Clone)]
 pub enum CoreError {
     /// An invalid configuration or argument.

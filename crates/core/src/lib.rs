@@ -34,7 +34,6 @@ pub mod error;
 pub mod extensions;
 pub mod lrm;
 pub mod mechanism;
-pub mod persistence;
 
 pub use decomposition::{DecompositionConfig, TargetRank, WorkloadDecomposition};
 pub use engine::{
