@@ -5,12 +5,7 @@
 //!   data values"): spend part of the budget on the decomposition
 //!   residual so the relaxed Formula-8 decomposition answers without
 //!   structural bias.
-//! * [`composite`] — a meta-mechanism that picks the best strategy per
-//!   workload using the closed-form error (strategy selection is
-//!   data-independent, so it costs no privacy budget).
 
-pub mod composite;
 pub mod data_aware;
 
-pub use composite::BestOfMechanism;
 pub use data_aware::CompensatedLowRankMechanism;

@@ -107,10 +107,6 @@ pub mod prelude {
         BatchAnswer, CacheOutcome, CacheStats, CompileMeta, CompileOptions, CompiledMechanism,
         Engine, EngineBuilder, EngineError, MechanismKind, Session,
     };
-    // `BestOfMechanism` is intentionally not re-exported: the prelude's
-    // canonical selector is `Engine::compile_best`. The lower-level
-    // already-compiled-candidates variant stays at
-    // `lrm::core::extensions::BestOfMechanism`.
     pub use lrm_core::extensions::CompensatedLowRankMechanism;
     pub use lrm_core::lrm::LowRankMechanism;
     pub use lrm_core::mechanism::Mechanism;

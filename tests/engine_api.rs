@@ -152,6 +152,58 @@ fn compile_best_never_worse_than_laplace() {
 }
 
 #[test]
+fn compile_best_picks_the_paper_winner_per_workload() {
+    // The argmin the paper's figures take by eye: LRM wherever the
+    // workload has low rank, WM on large range workloads, LM on small
+    // dense ones.
+    use MechanismKind::{Laplace, Lrm, Wavelet};
+    let engine = Engine::builder().reference_epsilon(eps(0.1)).build();
+    let low_rank = WRelated { base_queries: 3 }
+        .generate(24, 48, &mut StdRng::seed_from_u64(1))
+        .unwrap();
+    let small_dense = WDiscrete::default()
+        .generate(16, 24, &mut StdRng::seed_from_u64(3))
+        .unwrap();
+    let cases: [(&str, Workload, &[MechanismKind], MechanismKind); 3] = [
+        ("low-rank WRelated", low_rank, &[Laplace, Wavelet, Lrm], Lrm),
+        (
+            "16x512 WRange",
+            range_workload(16, 512, 2),
+            &[Laplace, Wavelet],
+            Wavelet,
+        ),
+        ("small WDiscrete", small_dense, &[Laplace, Wavelet], Laplace),
+    ];
+    for (name, w, panel, winner) in &cases {
+        let best = engine
+            .compile_best(w, panel, &CompileOptions::default())
+            .unwrap();
+        assert_eq!(best.meta().kind, *winner, "{name}");
+    }
+}
+
+#[test]
+fn compile_best_error_is_the_panel_minimum() {
+    use MechanismKind::{Laplace, Lrm, Wavelet};
+    let engine = Engine::builder().reference_epsilon(eps(0.1)).build();
+    let w = range_workload(8, 16, 4);
+    let opts = CompileOptions::default();
+    let panel = [Laplace, Wavelet, Lrm];
+    let min = panel
+        .iter()
+        .map(|&kind| {
+            engine
+                .compile(&w, kind, &opts)
+                .unwrap()
+                .meta()
+                .expected_avg_error
+        })
+        .fold(f64::INFINITY, f64::min);
+    let best = engine.compile_best(&w, &panel, &opts).unwrap();
+    assert!((best.meta().expected_avg_error - min).abs() <= 1e-9 * min);
+}
+
+#[test]
 fn engine_error_exposes_sources() {
     use std::error::Error as _;
     let engine = Engine::builder().build();
