@@ -1,6 +1,5 @@
 //! Plain-text tables and CSV dumps for experiment results.
 
-use serde::Serialize;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -76,7 +75,7 @@ impl TableWriter {
 }
 
 /// One flat record per measured cell, serialized to CSV.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CsvRecord {
     /// Figure identifier, e.g. `"fig4"`.
     pub figure: String,
