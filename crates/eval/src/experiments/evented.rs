@@ -746,6 +746,7 @@ mod tests {
 
     #[test]
     fn evented_bench_grants_the_whole_trace_and_reports() {
+        let _guard = crate::experiments::densification_guard();
         let cfg = tiny();
         let report = run_evented_bench(&cfg);
 

@@ -223,6 +223,7 @@ mod tests {
 
     #[test]
     fn gaussian_bench_runs_and_holds_its_invariants() {
+        let _guard = crate::experiments::densification_guard();
         let report = run_gaussian_bench(&tiny());
 
         // The cross-ε run actually mixed ε inside batches; the

@@ -184,6 +184,18 @@ impl ExperimentContext {
     }
 }
 
+/// Serializes this crate's tests that densify a structured workload or
+/// assert on a delta of the process-global
+/// [`densification_count`](lrm_linalg::operator::densification_count):
+/// the test threads share that count, so a densifying test running
+/// beside a counting one would show up in the other's delta.
+#[cfg(test)]
+pub(crate) fn densification_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed test poisons the lock; the unit it guards stays valid.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

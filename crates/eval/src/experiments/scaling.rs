@@ -324,6 +324,7 @@ mod tests {
 
     #[test]
     fn small_sweep_runs_and_serializes() {
+        let _guard = crate::experiments::densification_guard();
         let cfg = ScalingConfig {
             domain_sizes: vec![64, 128],
             queries: 16,
@@ -393,6 +394,7 @@ mod tests {
 
     #[test]
     fn range_family_runs() {
+        let _guard = crate::experiments::densification_guard();
         let cfg = ScalingConfig {
             domain_sizes: vec![64],
             queries: 12,

@@ -716,6 +716,7 @@ mod tests {
 
     #[test]
     fn bench_runs_and_reports() {
+        let _guard = crate::experiments::densification_guard();
         let cfg = tiny();
         let report = run_serving_bench(&cfg);
 
