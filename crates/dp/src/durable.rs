@@ -181,13 +181,7 @@ fn column_reserve(bits: &AtomicU64, total: f64, amount: f64) -> Result<f64, f64>
     let mut cur = bits.load(Ordering::Acquire);
     loop {
         let spent = f64::from_bits(cur);
-        let remaining = (total - spent).max(0.0);
-        // Exactly `BudgetLedger::check`: an exhausted column refuses
-        // *every* debit (the dust guard), otherwise one slack of
-        // headroom absorbs f64 rounding.
-        if remaining <= total * RELATIVE_SLACK || amount > remaining + total * RELATIVE_SLACK {
-            return Err(remaining);
-        }
+        admits(spent, total, amount)?;
         let new_spent = (spent + amount).min(total);
         match bits.compare_exchange_weak(
             cur,
@@ -226,7 +220,14 @@ fn column_rollback(bits: &AtomicU64, applied: f64) {
 
 /// Side-effect-free evaluation of one column's admission predicate.
 fn column_check(bits: &AtomicU64, total: f64, amount: f64) -> Result<(), f64> {
-    let spent = f64::from_bits(bits.load(Ordering::Acquire));
+    admits(f64::from_bits(bits.load(Ordering::Acquire)), total, amount)
+}
+
+/// Exactly [`BudgetLedger::check`] for one column at spend `spent`: an
+/// exhausted column refuses *every* debit (the dust guard), otherwise
+/// one slack of headroom absorbs f64 rounding. A refusal carries the
+/// remaining budget.
+fn admits(spent: f64, total: f64, amount: f64) -> Result<(), f64> {
     let remaining = (total - spent).max(0.0);
     if remaining <= total * RELATIVE_SLACK || amount > remaining + total * RELATIVE_SLACK {
         return Err(remaining);
@@ -357,14 +358,7 @@ impl DurableLedger {
         // Fail fast on the δ column before churning ε: purely advisory
         // (the authoritative δ check is the CAS below), but it spares
         // the ε rollback in the common δ-exhausted refusal.
-        if delta > 0.0 {
-            column_check(&inner.delta_spent_bits, inner.delta_total, delta).map_err(
-                |remaining| BudgetError::DeltaExhausted {
-                    requested: delta,
-                    remaining,
-                },
-            )?;
-        }
+        self.check_delta(delta)?;
         let applied_eps =
             column_reserve(&inner.spent_bits, inner.total, eps).map_err(|remaining| {
                 BudgetError::Exhausted {
@@ -409,16 +403,21 @@ impl DurableLedger {
     /// flows through a δ-exhausted ledger.
     pub fn check_budget(&self, budget: Budget) -> Result<(), BudgetError> {
         self.check(budget.eps())?;
-        let delta = budget.delta();
-        if delta > 0.0 {
-            column_check(&self.inner.delta_spent_bits, self.inner.delta_total, delta).map_err(
-                |remaining| BudgetError::DeltaExhausted {
-                    requested: delta,
-                    remaining,
-                },
-            )?;
+        self.check_delta(budget.delta())
+    }
+
+    /// The δ half of [`check_budget`](DurableLedger::check_budget); a
+    /// zero δ always passes.
+    fn check_delta(&self, delta: f64) -> Result<(), BudgetError> {
+        if delta == 0.0 {
+            return Ok(());
         }
-        Ok(())
+        column_check(&self.inner.delta_spent_bits, self.inner.delta_total, delta).map_err(
+            |remaining| BudgetError::DeltaExhausted {
+                requested: delta,
+                remaining,
+            },
+        )
     }
 
     /// Phase one of a pure ε-DP debit. See
