@@ -11,9 +11,9 @@
 //! factors as warm-start seeds.
 //!
 //! Trust model: nothing loaded from disk is served without
-//! revalidation. Shapes must fit the live
-//! workload, the sensitivity constraint `Δ(L) ≤ 1` is re-checked, and the
-//! residual is always recomputed against the live workload — a stale or
+//! revalidation. Shapes must fit the live workload, the sensitivity
+//! constraint `Δ(L) ≤ 1` is re-checked, and the residual is always
+//! recomputed against the live workload — a stale or
 //! tampered file becomes a visible error or a huge residual, never a
 //! silent wrong answer. Version-mismatched files are rejected with a
 //! typed error and simply recompiled over.

@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Default)]
 pub(crate) struct TenantLedgers {
     ledgers: RwLock<HashMap<String, DurableLedger>>,
-    /// Journal directory; `None` keeps every ledger in memory (the
-    /// previous behavior — durability for the process lifetime only).
+    /// Journal directory; `None` runs every ledger without a journal
+    /// (durability for the process lifetime only).
     dir: Option<PathBuf>,
     /// Ledger journals replayed on registration (restart resumes).
     replays: AtomicU64,
