@@ -151,35 +151,39 @@ fn compile_best_never_worse_than_laplace() {
     }
 }
 
-#[test]
-fn compile_best_picks_the_paper_winner_per_workload() {
-    // The argmin the paper's figures take by eye: LRM wherever the
-    // workload has low rank, WM on large range workloads, LM on small
-    // dense ones.
-    use MechanismKind::{Laplace, Lrm, Wavelet};
+// The argmin the paper's figures take by eye: LRM wherever the workload
+// has low rank, WM on large range workloads, LM on small dense ones.
+fn assert_compile_best_picks(w: &Workload, panel: &[MechanismKind], winner: MechanismKind) {
     let engine = Engine::builder().reference_epsilon(eps(0.1)).build();
-    let low_rank = WRelated { base_queries: 3 }
+    let best = engine
+        .compile_best(w, panel, &CompileOptions::default())
+        .unwrap();
+    assert_eq!(best.meta().kind, winner);
+}
+
+#[test]
+fn compile_best_picks_lrm_on_low_rank() {
+    use MechanismKind::{Laplace, Lrm, Wavelet};
+    let w = WRelated { base_queries: 3 }
         .generate(24, 48, &mut StdRng::seed_from_u64(1))
         .unwrap();
-    let small_dense = WDiscrete::default()
+    assert_compile_best_picks(&w, &[Laplace, Wavelet, Lrm], Lrm);
+}
+
+#[test]
+fn compile_best_picks_wm_on_large_range_workload_without_lrm() {
+    use MechanismKind::{Laplace, Wavelet};
+    let w = range_workload(16, 512, 2);
+    assert_compile_best_picks(&w, &[Laplace, Wavelet], Wavelet);
+}
+
+#[test]
+fn compile_best_picks_lm_on_small_dense_workload_without_lrm() {
+    use MechanismKind::{Laplace, Wavelet};
+    let w = WDiscrete::default()
         .generate(16, 24, &mut StdRng::seed_from_u64(3))
         .unwrap();
-    let cases: [(&str, Workload, &[MechanismKind], MechanismKind); 3] = [
-        ("low-rank WRelated", low_rank, &[Laplace, Wavelet, Lrm], Lrm),
-        (
-            "16x512 WRange",
-            range_workload(16, 512, 2),
-            &[Laplace, Wavelet],
-            Wavelet,
-        ),
-        ("small WDiscrete", small_dense, &[Laplace, Wavelet], Laplace),
-    ];
-    for (name, w, panel, winner) in &cases {
-        let best = engine
-            .compile_best(w, panel, &CompileOptions::default())
-            .unwrap();
-        assert_eq!(best.meta().kind, *winner, "{name}");
-    }
+    assert_compile_best_picks(&w, &[Laplace, Wavelet], Laplace);
 }
 
 #[test]
