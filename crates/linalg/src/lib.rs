@@ -43,7 +43,7 @@ pub mod vector;
 
 pub use error::{LinalgError, Result};
 pub use matrix::Matrix;
-pub use operator::{CsrOp, DenseOp, IntervalsOp, MatrixOp};
+pub use operator::{ColumnClasses, CsrOp, DenseOp, IntervalsOp, MatrixOp};
 
 /// Machine epsilon for `f64`, re-exported for tolerance computations.
 pub const EPS: f64 = f64::EPSILON;

@@ -26,6 +26,7 @@
 
 use crate::matrix::Matrix;
 use crate::ops;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -140,6 +141,34 @@ pub trait MatrixOp: fmt::Debug + Send + Sync {
         "dense"
     }
 
+    /// The exact partition of the columns into classes of bit-identical
+    /// columns (see [`ColumnClasses`]). A property of `W` alone, so it is
+    /// data-independent.
+    ///
+    /// The default refines the partition row by row through
+    /// [`fill_row`](Self::fill_row), comparing IEEE bit patterns, and
+    /// stops as soon as every column is its own class.
+    fn column_classes(&self) -> ColumnClasses {
+        let n = self.cols();
+        let mut labels = vec![0usize; n];
+        let mut count = 1;
+        let mut buf = vec![0.0; n];
+        let mut split: HashMap<(usize, u64), usize> = HashMap::new();
+        for i in 0..self.rows() {
+            if count == n {
+                break;
+            }
+            self.fill_row(i, &mut buf);
+            split.clear();
+            for (label, &v) in labels.iter_mut().zip(buf.iter()) {
+                let next = split.len();
+                *label = *split.entry((*label, v.to_bits())).or_insert(next);
+            }
+            count = split.len();
+        }
+        ColumnClasses::from_labels(labels)
+    }
+
     /// Escape hatch: materializes the dense matrix. Structured
     /// implementations bump the global [`densification_count`].
     fn to_dense(&self) -> Matrix {
@@ -228,6 +257,69 @@ pub fn op_logical_eq(a: &dyn MatrixOp, b: &dyn MatrixOp) -> bool {
         }
     }
     true
+}
+
+// ---------------------------------------------------------------------------
+// Column classes
+// ---------------------------------------------------------------------------
+
+/// A partition of a matrix's `n` columns into `k` classes of identical
+/// columns, numbered in order of first appearance (class 0 holds column
+/// 0). Workloads snapped to a boundary grid repeat each column across a
+/// whole grid cell, so `k` is often far below `n`; a solver may then work
+/// over one column per class.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnClasses {
+    class_of: Vec<usize>,
+    sizes: Vec<usize>,
+}
+
+impl ColumnClasses {
+    /// Builds the partition from one label per column: columns with equal
+    /// labels share a class. Labels are arbitrary; classes are renumbered
+    /// in order of first appearance.
+    pub fn from_labels(labels: Vec<usize>) -> Self {
+        let mut renumber: HashMap<usize, usize> = HashMap::new();
+        let mut sizes = Vec::new();
+        let class_of = labels
+            .into_iter()
+            .map(|label| {
+                let next = renumber.len();
+                let c = *renumber.entry(label).or_insert(next);
+                if c == sizes.len() {
+                    sizes.push(0);
+                }
+                sizes[c] += 1;
+                c
+            })
+            .collect();
+        Self { class_of, sizes }
+    }
+
+    /// Number of classes `k`.
+    pub fn count(&self) -> usize {
+        self.sizes.len()
+    }
+
+    /// Number of columns `n`.
+    pub fn cols(&self) -> usize {
+        self.class_of.len()
+    }
+
+    /// Whether every column is its own class (`k = n`).
+    pub fn is_trivial(&self) -> bool {
+        self.count() == self.cols()
+    }
+
+    /// The class of each column.
+    pub fn class_of(&self) -> &[usize] {
+        &self.class_of
+    }
+
+    /// The number of columns `d_c` in each class.
+    pub fn sizes(&self) -> &[usize] {
+        &self.sizes
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -615,6 +707,29 @@ impl MatrixOp for CsrOp {
     fn nnz(&self) -> usize {
         self.values.len()
     }
+
+    /// Groups columns by their exact `(row, value bits)` entry lists, read
+    /// off a column-major bucketing of the stored entries — `O(nnz + n)`.
+    /// An explicit `-0.0` entry differs from an implicit `+0.0`, as in
+    /// [`fill_row`](MatrixOp::fill_row).
+    fn column_classes(&self) -> ColumnClasses {
+        let mut columns: Vec<Vec<(u32, u64)>> = vec![Vec::new(); self.cols];
+        for i in 0..self.rows {
+            let (cols, vals) = self.row_entries(i);
+            for (&c, &v) in cols.iter().zip(vals.iter()) {
+                columns[c as usize].push((i as u32, v.to_bits()));
+            }
+        }
+        let mut ids: HashMap<Vec<(u32, u64)>, usize> = HashMap::new();
+        let labels = columns
+            .into_iter()
+            .map(|entries| {
+                let next = ids.len();
+                *ids.entry(entries).or_insert(next)
+            })
+            .collect();
+        ColumnClasses::from_labels(labels)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -844,6 +959,45 @@ impl MatrixOp for IntervalsOp {
             .sum()
     }
 
+    /// Columns `s < t` are identical iff every interval covering one
+    /// covers the other, which holds iff both share the smallest `hi` and
+    /// the largest `lo` over the intervals covering them (the interval
+    /// attaining each covers both columns, so neither can stop or start
+    /// between them). One sweep with two heaps computes that key per
+    /// column — `O(n + m log m)`; uncovered columns share the empty key.
+    fn column_classes(&self) -> ColumnClasses {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut by_lo: Vec<(u32, u32)> = self.intervals.clone();
+        by_lo.sort_unstable();
+        let mut next = 0;
+        let mut min_hi: BinaryHeap<Reverse<u32>> = BinaryHeap::new();
+        let mut max_lo: BinaryHeap<(u32, u32)> = BinaryHeap::new();
+        let mut ids: HashMap<Option<(u32, u32)>, usize> = HashMap::new();
+        let labels = (0..self.cols as u32)
+            .map(|j| {
+                while next < by_lo.len() && by_lo[next].0 == j {
+                    min_hi.push(Reverse(by_lo[next].1));
+                    max_lo.push(by_lo[next]);
+                    next += 1;
+                }
+                while min_hi.peek().is_some_and(|&Reverse(hi)| hi < j) {
+                    min_hi.pop();
+                }
+                while max_lo.peek().is_some_and(|&(_, hi)| hi < j) {
+                    max_lo.pop();
+                }
+                let key = min_hi
+                    .peek()
+                    .zip(max_lo.peek())
+                    .map(|(&Reverse(hi), &(lo, _))| (hi, lo));
+                let fresh = ids.len();
+                *ids.entry(key).or_insert(fresh)
+            })
+            .collect();
+        ColumnClasses::from_labels(labels)
+    }
+
     fn gram_small(&self) -> (Matrix, bool) {
         let m = self.intervals.len();
         if m <= self.cols {
@@ -1069,6 +1223,17 @@ mod tests {
         let got = op.apply_right(&rhs);
         let want = ops::matmul(&pattern, &rhs).unwrap();
         assert!(got.approx_eq(&want, 1e-9));
+    }
+
+    #[test]
+    fn interval_column_classes_join_columns_across_a_nested_interval() {
+        // Columns 0-2 and 5-10 are covered by the outer interval alone,
+        // 3-4 also by the inner one, and 11 by neither.
+        let op = IntervalsOp::new(12, vec![(0, 10), (3, 4)]);
+        let classes = op.column_classes();
+        assert_eq!(classes.class_of(), &[0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 2]);
+        assert_eq!(classes.sizes(), &[9, 2, 1]);
+        assert_eq!(classes, DenseOp::new(dense_of(&op)).column_classes());
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! implementation must match the dense reference to 1e-10 on all the
 //! products the LRM pipeline uses.
 
-use lrm_linalg::operator::{op_logical_eq, CsrOp, DenseOp, IntervalsOp, MatrixOp};
+use lrm_linalg::operator::{op_logical_eq, ColumnClasses, CsrOp, DenseOp, IntervalsOp, MatrixOp};
 use lrm_linalg::{ops, Matrix};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Strategy: a sparse `r×c` matrix (entries zeroed with high probability).
 fn sparse_matrix(
@@ -38,6 +39,38 @@ fn intervals(
             )
         })
     })
+}
+
+/// Strategy: an `r×n` matrix whose columns are drawn from a few base
+/// columns, so classes of repeated columns are common. Entries include
+/// `-0.0`, which must not merge with `+0.0`.
+fn repeated_columns(
+    r: std::ops::Range<usize>,
+    n: std::ops::Range<usize>,
+) -> impl Strategy<Value = Matrix> {
+    (r, n, 1usize..6).prop_flat_map(|(rows, cols, bases)| {
+        (
+            proptest::collection::vec(0u8..4, rows * bases),
+            proptest::collection::vec(0..bases, cols),
+        )
+            .prop_map(move |(cells, pick)| {
+                let value = |code: u8| [0.0, 1.0, -0.0, 2.5][code as usize];
+                Matrix::from_fn(rows, cols, |i, j| value(cells[i * bases + pick[j]]))
+            })
+    })
+}
+
+/// Column classes by comparing whole dense columns bit for bit.
+fn reference_classes(a: &Matrix) -> ColumnClasses {
+    let mut ids: HashMap<Vec<u64>, usize> = HashMap::new();
+    let labels = (0..a.cols())
+        .map(|j| {
+            let bits: Vec<u64> = a.col(j).iter().map(|v| v.to_bits()).collect();
+            let next = ids.len();
+            *ids.entry(bits).or_insert(next)
+        })
+        .collect();
+    ColumnClasses::from_labels(labels)
 }
 
 fn dense_of(op: &dyn MatrixOp) -> Matrix {
@@ -159,5 +192,27 @@ proptest! {
         prop_assert!(op_logical_eq(&implicit, &csr));
         prop_assert!(op_logical_eq(&implicit, &dense));
         prop_assert!(op_logical_eq(&csr, &dense));
+    }
+
+    #[test]
+    fn interval_column_classes_match_dense_reference(
+        (n, ivs) in intervals(1..12, 1..48),
+    ) {
+        let op = IntervalsOp::new(n, ivs);
+        let want = reference_classes(&dense_of(&op));
+        prop_assert_eq!(op.column_classes(), want.clone());
+        // The generic row-refinement default agrees too.
+        prop_assert_eq!(DenseOp::new(dense_of(&op)).column_classes(), want);
+    }
+
+    #[test]
+    fn csr_and_dense_column_classes_match_dense_reference(
+        a in repeated_columns(1..8, 1..30),
+    ) {
+        let want = reference_classes(&a);
+        prop_assert_eq!(CsrOp::from_dense(&a).column_classes(), want.clone());
+        prop_assert_eq!(DenseOp::new(a.clone()).column_classes(), want.clone());
+        let sizes: usize = want.sizes().iter().sum();
+        prop_assert_eq!(sizes, a.cols());
     }
 }
