@@ -20,29 +20,49 @@
 //! is feasible because each column `v` of `V` has `‖v‖₁ ≤ √ρ·‖v‖₂ ≤ √ρ`.
 //! The solver therefore starts at the Lemma 3 upper bound and improves
 //! monotonically in practice.
+//!
+//! When `W` repeats columns (grid-snapped range batches do, heavily), the
+//! solver runs over one weighted column per class of identical columns and
+//! expands `L` back to all `n` columns (see `merged_workload`): the merged
+//! program has the full program's optimum, Φ, τ and Δ, at `k/n` of the
+//! cost per `L` step.
 
 use crate::error::CoreError;
 use lrm_dp::{sensitivity, Budget, Gaussian, SensitivityNorm};
 use lrm_linalg::decomp::Cholesky;
-use lrm_linalg::operator::MatrixOp;
+use lrm_linalg::operator::{ColumnClasses, CsrOp, MatrixOp};
 use lrm_linalg::{ops, Matrix};
 use lrm_opt::{
-    nesterov_projected, project_columns_l1, project_columns_l2, AlmSchedule, AlmState,
+    nesterov_projected, project_columns_l1, project_columns_l2, AlmSchedule, AlmState, ColumnRadii,
     NesterovConfig, WarmStart,
 };
 use lrm_workload::{Workload, WorkloadStructure};
 
-/// Projects every column of `l` onto the unit-radius ball of the given
-/// sensitivity norm — the feasible set of the pure-ε (L1/Laplace) or
-/// approximate-DP (L2/Gaussian) decomposition respectively.
-fn project_columns(l: &mut Matrix, radius: f64, norm: SensitivityNorm) {
+/// Projects every column of `l` onto its ball of the given sensitivity
+/// norm — the feasible set of the pure-ε (L1/Laplace) or approximate-DP
+/// (L2/Gaussian) decomposition respectively.
+fn project_columns(l: &mut Matrix, radii: impl ColumnRadii, norm: SensitivityNorm) {
     match norm {
         SensitivityNorm::L1 => {
-            project_columns_l1(l, radius);
+            project_columns_l1(l, radii);
         }
         SensitivityNorm::L2 => {
-            project_columns_l2(l, radius);
+            project_columns_l2(l, radii);
         }
+    }
+}
+
+/// The feasible set of `L` in one solve: per-column balls in `norm`, of
+/// radius 1 over the full domain or `√d_c` over merged column classes.
+#[derive(Debug, Clone, Copy)]
+struct Feasible<'a> {
+    norm: SensitivityNorm,
+    radii: &'a [f64],
+}
+
+impl Feasible<'_> {
+    fn project(self, l: &mut Matrix) {
+        project_columns(l, self.radii, self.norm);
     }
 }
 
@@ -178,6 +198,9 @@ pub struct DecompositionStats {
     /// True when the run started from a caller-supplied warm-start seed
     /// (a cached decomposition) instead of the Lemma 3 construction.
     pub warm_started: bool,
+    /// Columns the ALM solved over: the number of distinct columns of `W`
+    /// (its column classes), `n` when no two columns are identical.
+    pub solved_cols: usize,
 }
 
 /// The decomposition `W ≈ B·L` produced by Algorithm 1.
@@ -263,34 +286,82 @@ impl WorkloadDecomposition {
     ) -> Result<Self, CoreError> {
         config.validate()?;
         let op = workload.op().as_ref();
+        let n = op.cols();
+        let seed = init.filter(|seed| seed.domain_size() == n && seed.rank() > 0);
+        let reproject = |seed: &WarmStart, r: usize| match norm {
+            SensitivityNorm::L1 => seed.reproject_l(r),
+            SensitivityNorm::L2 => seed.reproject_l_l2(r),
+        };
+        let classes = op.column_classes();
+        if classes.is_trivial() {
+            let r = config.target_rank.resolve(workload)?;
+            let seed_l = seed.map(|seed| reproject(seed, r));
+            let unit = vec![1.0; n];
+            let feasible = Feasible { norm, radii: &unit };
+            let solved = Self::solve(workload, r, config, feasible, seed_l)?;
+            return Ok(Self::assert_feasible(op, solved, norm));
+        }
+
+        // Identical columns of W: solve over one weighted column per
+        // class (see `merged_workload`) and expand L back to n columns.
+        // Φ, τ and Δ of the expansion equal those of the merged solve, so
+        // the convergence contract is the full-domain one.
+        let merged = merged_workload(workload, &classes);
+        let r = config.target_rank.resolve(&merged)?;
+        let radii: Vec<f64> = classes.sizes().iter().map(|&d| (d as f64).sqrt()).collect();
+        // The seed is made feasible on the full domain first; averaging
+        // its columns within each class keeps it inside the (convex)
+        // ball, which the `√d_c` weighting turns into radius `√d_c`.
+        let seed_l = seed.map(|seed| merge_columns(&reproject(seed, r), &classes, &radii));
+        let feasible = Feasible {
+            norm,
+            radii: &radii,
+        };
+        let mut solved = Self::solve(&merged, r, config, feasible, seed_l)?;
+        solved.l = expand_columns(&solved.l, &classes, &radii);
+        solved.residual = residual_of(op, &solved.b, &solved.l);
+        solved.stats.residual = solved.residual.frobenius_norm();
+        solved.stats.converged = stats_converged(solved.stats.residual, config.gamma);
+        Ok(Self::assert_feasible(op, solved, norm))
+    }
+
+    /// Algorithm 1 on `workload` at inner dimension `r`, over the feasible
+    /// set `feasible`, from the (already feasible) seed `L` if given, else
+    /// from the Lemma 3 construction.
+    fn solve(
+        workload: &Workload,
+        r: usize,
+        config: &DecompositionConfig,
+        feasible: Feasible<'_>,
+        seed_l: Option<Matrix>,
+    ) -> Result<Solved, CoreError> {
+        let op = workload.op().as_ref();
         let (m, n) = op.shape();
         let w_fro = op.frobenius_sq().sqrt();
-        let r = config.target_rank.resolve(workload)?;
 
         // --- Initialization: warm-start seed, else Lemma 3. ---
-        let warm_init = init
-            .filter(|seed| seed.domain_size() == n && seed.rank() > 0)
-            .and_then(|seed| {
-                let l = match norm {
-                    SensitivityNorm::L1 => seed.reproject_l(r),
-                    SensitivityNorm::L2 => seed.reproject_l_l2(r),
-                };
-                // Always refit B against the *new* workload (the β→∞
-                // limit of Eq. 9) instead of trusting the seed's B: the
-                // seed was fit to a similar-but-different W, and carrying
-                // its B verbatim would bake the old workload into the
-                // warm-start multiplier below. The refit also makes seeds
-                // portable across query counts m.
-                let b = refit_b(op, &l).ok()?;
-                if b.has_non_finite() || l.has_non_finite() {
-                    return None;
-                }
-                Some((b, l))
-            });
+        let warm_init = seed_l.and_then(|l| {
+            // Always refit B against the *new* workload (the β→∞ limit of
+            // Eq. 9) instead of trusting the seed's B: the seed was fit to
+            // a similar-but-different W, and carrying its B verbatim would
+            // bake the old workload into the warm-start multiplier below.
+            // The refit also makes seeds portable across query counts m.
+            let b = refit_b(op, &l).ok()?;
+            if b.has_non_finite() || l.has_non_finite() {
+                return None;
+            }
+            // A seed whose refit costs more scale than the Lemma 3
+            // construction (near-dead rows of L make LLᵀ nearly singular
+            // and B huge) is a worse start than a cold one.
+            if b.squared_sum() > lemma3_scale(workload, r) {
+                return None;
+            }
+            Some((b, l))
+        });
         let warm_started = warm_init.is_some();
         let (mut b, mut l) = match warm_init {
             Some(pair) => pair,
-            None => lemma3_initializer(workload, r),
+            None => lemma3_initializer(workload, r, feasible.radii),
         };
         debug_assert_eq!(b.shape(), (m, r));
         debug_assert_eq!(l.shape(), (r, n));
@@ -327,14 +398,14 @@ impl WorkloadDecomposition {
             initial_scale,
             fell_back_to_initializer: false,
             warm_started,
+            solved_cols: n,
         };
         if stats.converged && initial_scale == 0.0 {
             // Zero workload: (B, L) = (0, 0) is already optimal.
-            return Ok(Self {
+            return Ok(Solved {
                 b,
                 l,
-                residual_matrix: residual,
-                norm,
+                residual,
                 stats,
             });
         }
@@ -440,7 +511,7 @@ impl WorkloadDecomposition {
                     &b_new,
                     &l,
                     beta,
-                    norm,
+                    feasible,
                     &nesterov_cfg,
                     lipschitz_warm_start,
                 );
@@ -464,8 +535,11 @@ impl WorkloadDecomposition {
             // for the current L has long been feasible. The tolerance is
             // identical — only which B is measured differs — and the same
             // Φ guard as the final refit keeps the swap from trading scale
-            // for residual.
-            if warm_started && tau > gamma_eff {
+            // for residual. With r ≥ n (typical over merged column classes)
+            // any full-rank L refits W exactly, so the lens would accept
+            // the seed itself before Φ was optimized at all; there it stays
+            // off and the ALM iterate decides.
+            if warm_started && tau > gamma_eff && r < n {
                 if let Ok(refit) = refit_b(op, &l) {
                     let refit_residual = residual_of(op, &refit, &l);
                     let refit_tau = refit_residual.frobenius_norm();
@@ -553,7 +627,7 @@ impl WorkloadDecomposition {
             // directions so the lost rank is spent where it reduces the
             // constraint violation most.
             if tau > gamma_eff {
-                revive_dead_directions(&mut b, &mut l, &residual, norm);
+                revive_dead_directions(&mut b, &mut l, &residual, feasible);
             }
         }
         let had_feasible = best.is_some();
@@ -591,7 +665,7 @@ impl WorkloadDecomposition {
             // structural term. A final iterate within 2% of ‖W‖_F is kept
             // even if it missed the literal γ — the paper's Algorithm 1
             // likewise returns the last ALM iterate on exhaustion.
-            let (init_b, init_l) = lemma3_initializer(workload, r);
+            let (init_b, init_l) = lemma3_initializer(workload, r, feasible.radii);
             let init_residual = residual_of(op, &init_b, &init_l);
             let init_tau = init_residual.frobenius_norm();
             if init_tau < stats.residual && init_tau <= 1e-6 * (1.0 + w_fro) {
@@ -604,24 +678,38 @@ impl WorkloadDecomposition {
         }
         stats.converged = stats_converged(stats.residual, config.gamma);
 
-        // Numerical safety: the Nesterov projection guarantees feasibility,
-        // but re-assert it so downstream privacy accounting can rely on
-        // Δ(B, L) ≤ 1 — measured in the norm this decomposition's
-        // mechanism actually calibrates noise against.
+        Ok(Solved {
+            b,
+            l,
+            residual,
+            stats,
+        })
+    }
+
+    /// Numerical safety: the Nesterov projection guarantees feasibility,
+    /// but re-assert it so downstream privacy accounting can rely on
+    /// Δ(B, L) ≤ 1 — measured in the norm this decomposition's mechanism
+    /// actually calibrates noise against, over all `n` columns.
+    fn assert_feasible(op: &dyn MatrixOp, solved: Solved, norm: SensitivityNorm) -> Self {
+        let Solved {
+            b,
+            mut l,
+            mut residual,
+            mut stats,
+        } = solved;
         let over = max_col_norm(&l, norm);
         if over > 1.0 + 1e-9 {
             project_columns(&mut l, 1.0, norm);
             residual = residual_of(op, &b, &l);
             stats.residual = residual.frobenius_norm();
         }
-
-        Ok(Self {
+        Self {
             b,
             l,
             residual_matrix: residual,
             norm,
             stats,
-        })
+        }
     }
 
     /// Assembles a decomposition from explicit factors under sensitivity
@@ -642,6 +730,7 @@ impl WorkloadDecomposition {
             initial_scale: b.squared_sum(),
             fell_back_to_initializer: false,
             warm_started: false,
+            solved_cols: l.cols(),
         };
         Self {
             b,
@@ -742,6 +831,15 @@ impl WorkloadDecomposition {
     }
 }
 
+/// The factors and diagnostics of one Algorithm 1 run, before the final
+/// feasibility re-assertion.
+struct Solved {
+    b: Matrix,
+    l: Matrix,
+    residual: Matrix,
+    stats: DecompositionStats,
+}
+
 fn stats_converged(residual: f64, gamma: f64) -> bool {
     // "τ is sufficiently small": we treat γ as that threshold; for γ = 0 a
     // tiny numerical floor stands in.
@@ -832,41 +930,41 @@ fn update_b(rhs: &Matrix, l: &Matrix, beta: f64) -> Result<Matrix, CoreError> {
 /// `∂G/∂L = β·BᵀB·L − Bᵀ(βW + π)`,
 /// subject to per-column balls in the decomposition's sensitivity norm
 /// (L1 per Formula 11; L2 for the Gaussian variant — a radial rescale, so
-/// Algorithm 2 is otherwise unchanged). The caller supplies
-/// `bt_target = Bᵀ(βW + π)` (structured `Bᵀ·W` product plus skippable
-/// `Bᵀ·π` GEMM). Returns the new `L` and the discovered Lipschitz
+/// Algorithm 2 is otherwise unchanged) of the radii `feasible` sets. The
+/// caller supplies `bt_target = Bᵀ(βW + π)` (structured `Bᵀ·W` product
+/// plus skippable `Bᵀ·π` GEMM). Returns the new `L` and the discovered Lipschitz
 /// estimate (used to warm-start the next call).
 fn update_l(
     bt_target: &Matrix,
     b: &Matrix,
     l0: &Matrix,
     beta: f64,
-    norm: SensitivityNorm,
+    feasible: Feasible<'_>,
     nesterov: &NesterovConfig,
     lipschitz_warm_start: f64,
 ) -> (Matrix, f64) {
     let btb = ops::gram(b); // BᵀB, r×r
 
-    let objective = |l: &Matrix| -> f64 {
-        let btbl = ops::matmul(&btb, l).expect("shapes agree");
-        0.5 * beta * ops::frob_inner(l, &btbl).expect("shapes agree")
+    // G and ∇G share the product BᵀB·L.
+    let value = |l: &Matrix, btbl: &Matrix| -> f64 {
+        0.5 * beta * ops::frob_inner(l, btbl).expect("shapes agree")
             - ops::frob_inner(bt_target, l).expect("shapes agree")
     };
-    let gradient = |l: &Matrix| -> Matrix {
+    let objective = |l: &Matrix| value(l, &ops::matmul(&btb, l).expect("shapes agree"));
+    let value_and_gradient = |l: &Matrix| -> (f64, Matrix) {
         let mut g = ops::matmul(&btb, l).expect("shapes agree");
-        g = g.scale(beta);
+        let f = value(l, &g);
+        g.map_inplace(|x| x * beta);
         g -= bt_target;
-        g
+        (f, g)
     };
-    let project = move |l: &mut Matrix| {
-        project_columns(l, 1.0, norm);
-    };
+    let project = move |l: &mut Matrix| feasible.project(l);
 
     let cfg = NesterovConfig {
         initial_lipschitz: lipschitz_warm_start,
         ..nesterov.clone()
     };
-    let result = nesterov_projected(objective, gradient, project, l0.clone(), &cfg);
+    let result = nesterov_projected(objective, value_and_gradient, project, l0.clone(), &cfg);
     (result.x, result.lipschitz)
 }
 
@@ -878,7 +976,7 @@ fn revive_dead_directions(
     b: &mut Matrix,
     l: &mut Matrix,
     residual: &Matrix,
-    norm: SensitivityNorm,
+    feasible: Feasible<'_>,
 ) -> usize {
     let r = l.rows();
     let l_scale = l.max_abs().max(1e-12);
@@ -907,7 +1005,7 @@ fn revive_dead_directions(
             deflated.push(direction);
         }
     }
-    project_columns(l, 1.0, norm);
+    feasible.project(l);
     dead.len()
 }
 
@@ -948,10 +1046,11 @@ fn top_right_singular_vector(residual: &Matrix, deflated: &[Vec<f64>]) -> Option
 /// `W`, appropriately for the relaxed Formula 8).
 ///
 /// When `r` exceeds ρ, the extra rows of `L` are seeded with a small
-/// deterministic orthogonal-ish fill (and the columns re-projected) so the
-/// optimizer can actually use the extra dimensions — all-zero padding is a
-/// stationary point of the alternating updates.
-fn lemma3_initializer(workload: &Workload, r: usize) -> (Matrix, Matrix) {
+/// deterministic orthogonal-ish fill (and the columns re-projected onto
+/// L1 balls of the given per-column radii) so the optimizer can actually
+/// use the extra dimensions — all-zero padding is a stationary point of
+/// the alternating updates.
+fn lemma3_initializer(workload: &Workload, r: usize, radii: &[f64]) -> (Matrix, Matrix) {
     let (m, n) = (workload.num_queries(), workload.domain_size());
     let svd = workload.svd();
     let nonzero = svd.nonzero_singular_values();
@@ -988,9 +1087,89 @@ fn lemma3_initializer(workload: &Workload, r: usize) -> (Matrix, Matrix) {
                 l.set(i, j, amp * unit);
             }
         }
-        project_columns_l1(&mut l, 1.0);
+        project_columns_l1(&mut l, radii);
     }
     (b, l)
+}
+
+/// `Φ = tr(BᵀB) = ρ·Σ_{k<ρ} σ_k²` of the Lemma 3 construction at rank `r`
+/// (ρ = the number of singular values it uses), read off the cached SVD.
+fn lemma3_scale(workload: &Workload, r: usize) -> f64 {
+    let nonzero = workload.svd().nonzero_singular_values();
+    let rho = nonzero.len().min(r);
+    rho as f64 * nonzero[..rho].iter().map(|s| s * s).sum::<f64>()
+}
+
+/// The workload over one column per class of identical columns: column
+/// `c` is the class's column scaled by `√d_c`, i.e. `W' = W·Eᵀ` for the
+/// `k×n` matrix `E` with `E_cj = 1/√d_c` on the columns of class `c`.
+/// `E` has orthonormal rows and `W = W'·E`, so `W'` has the singular
+/// values of `W`, and for `L = L'·E` ([`expand_columns`]):
+/// `‖W − B·L‖_F = ‖W' − B·L'‖_F`, while column `j` of `L` has `1/√d_c`
+/// times the norm of column `c` of `L'` — a ball of radius `√d_c` on `L'`
+/// is the unit ball on `L`. Built row by row; a dense `W` gives a dense
+/// `W'`, a structured one a sparse `W'`.
+fn merged_workload(workload: &Workload, classes: &ColumnClasses) -> Workload {
+    let op = workload.op().as_ref();
+    let (m, n) = op.shape();
+    let k = classes.count();
+    let mut first = vec![usize::MAX; k];
+    for (j, &c) in classes.class_of().iter().enumerate().rev() {
+        first[c] = j;
+    }
+    let scale: Vec<f64> = classes.sizes().iter().map(|&d| (d as f64).sqrt()).collect();
+    let mut buf = vec![0.0; n];
+    let mut merged_row = |i: usize| {
+        op.fill_row(i, &mut buf);
+        first
+            .iter()
+            .zip(scale.iter())
+            .map(|(&j, &s)| buf[j] * s)
+            .collect::<Vec<f64>>()
+    };
+    let merged = if workload.structure() == WorkloadStructure::Dense {
+        let mut w = Matrix::zeros(m, k);
+        for i in 0..m {
+            w.row_mut(i).copy_from_slice(&merged_row(i));
+        }
+        Workload::new(w)
+    } else {
+        let entries: Vec<Vec<(usize, f64)>> = (0..m)
+            .map(|i| merged_row(i).into_iter().enumerate().collect())
+            .collect();
+        Workload::from_csr(CsrOp::from_row_entries(m, k, &entries))
+    };
+    merged.expect("a finite workload merges to a finite workload")
+}
+
+/// `L' = L·Eᵀ` (see [`merged_workload`]): column `c` of the result is the
+/// sum of the columns of class `c`, divided by `√d_c` — `√d_c` times
+/// their average.
+fn merge_columns(l: &Matrix, classes: &ColumnClasses, radii: &[f64]) -> Matrix {
+    let mut merged = Matrix::zeros(l.rows(), classes.count());
+    for i in 0..l.rows() {
+        let out = merged.row_mut(i);
+        for (&v, &c) in l.row(i).iter().zip(classes.class_of()) {
+            out[c] += v;
+        }
+        for (o, &s) in out.iter_mut().zip(radii) {
+            *o /= s;
+        }
+    }
+    merged
+}
+
+/// `L = L'·E` (see [`merged_workload`]): column `j` of the result is
+/// column `c(j)` of `l` divided by `√d_c`.
+fn expand_columns(l: &Matrix, classes: &ColumnClasses, radii: &[f64]) -> Matrix {
+    let mut expanded = Matrix::zeros(l.rows(), classes.cols());
+    for i in 0..l.rows() {
+        let row = l.row(i);
+        for (o, &c) in expanded.row_mut(i).iter_mut().zip(classes.class_of()) {
+            *o = row[c] / radii[c];
+        }
+    }
+    expanded
 }
 
 #[cfg(test)]
@@ -1185,6 +1364,54 @@ mod tests {
             warm_b.stats().outer_iterations,
             cold_b.stats().outer_iterations
         );
+    }
+
+    #[test]
+    fn seed_refitting_above_the_lemma3_scale_runs_cold() {
+        // A seed whose L has near-dead rows: the closed-form refit of B
+        // divides by their tiny norms, so its Φ dwarfs the Lemma 3
+        // construction's and the compile must run cold instead.
+        let cfg = DecompositionConfig {
+            polish_iters: 0,
+            ..DecompositionConfig::default()
+        };
+        for w in [
+            panel(64, 16),
+            WRelated { base_queries: 4 }
+                .generate(12, 16, &mut StdRng::seed_from_u64(12))
+                .unwrap(),
+        ] {
+            let good = WorkloadDecomposition::compute(&w, &cfg).unwrap();
+            let mut weak = good.l().clone();
+            for i in 1..weak.rows() {
+                let row: Vec<f64> = weak.row(i).iter().map(|v| v * 1e-9).collect();
+                weak.set_row(i, &row);
+            }
+            let seed = WarmStart::new(good.b().clone(), weak);
+            let got = WorkloadDecomposition::compute_with_init(&w, &cfg, Some(&seed)).unwrap();
+            assert!(!got.stats().warm_started, "a near-dead seed must not start");
+            assert_eq!(got.b(), good.b());
+            assert_eq!(got.l(), good.l());
+
+            // The healthy seed itself still starts warm.
+            let seed = WarmStart::new(good.b().clone(), good.l().clone());
+            let warm = WorkloadDecomposition::compute_with_init(&w, &cfg, Some(&seed)).unwrap();
+            assert!(warm.stats().warm_started);
+        }
+    }
+
+    #[test]
+    fn repeated_columns_are_solved_once_per_class() {
+        // A 16-cut panel over 64 buckets repeats every column 4 times; a
+        // workload without repeated columns is solved over all n.
+        let w = panel(64, 16);
+        let d = decompose_default(&w);
+        assert_eq!(d.stats().solved_cols, 16);
+        assert_eq!(d.l().cols(), 64);
+        let distinct = WRelated { base_queries: 3 }
+            .generate(10, 12, &mut StdRng::seed_from_u64(13))
+            .unwrap();
+        assert_eq!(decompose_default(&distinct).stats().solved_cols, 12);
     }
 
     #[test]

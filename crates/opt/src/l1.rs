@@ -17,6 +17,12 @@ use lrm_linalg::Matrix;
 /// # Panics
 /// Panics if `radius` is negative or NaN.
 pub fn project_l1_ball(v: &mut [f64], radius: f64) -> bool {
+    project_l1_ball_with(v, radius, &mut Vec::new())
+}
+
+/// [`project_l1_ball`] with a caller-owned sort buffer, so projecting many
+/// columns allocates once.
+fn project_l1_ball_with(v: &mut [f64], radius: f64, mags: &mut Vec<f64>) -> bool {
     assert!(
         radius >= 0.0 && radius.is_finite(),
         "L1 ball radius must be non-negative and finite, got {radius}"
@@ -31,7 +37,8 @@ pub fn project_l1_ball(v: &mut [f64], radius: f64) -> bool {
     }
 
     // Duchi et al.: sort |v| descending, find the pivot rho, soft-threshold.
-    let mut mags: Vec<f64> = v.iter().map(|x| x.abs()).collect();
+    mags.clear();
+    mags.extend(v.iter().map(|x| x.abs()));
     mags.sort_unstable_by(|a, b| b.partial_cmp(a).expect("no NaN in projection input"));
     let mut cumsum = 0.0;
     let mut theta = 0.0;
@@ -51,19 +58,42 @@ pub fn project_l1_ball(v: &mut [f64], radius: f64) -> bool {
     false
 }
 
-/// Projects every **column** of `l` onto the L1 ball of the given radius —
-/// the full constraint set of Formula (7)/(8) in the paper.
+/// The ball radius of each column in a per-column projection: one `f64`
+/// for every column, or a slice with one radius per column.
+pub trait ColumnRadii: Copy {
+    /// The radius of column `j`.
+    fn radius(self, j: usize) -> f64;
+}
+
+impl ColumnRadii for f64 {
+    fn radius(self, _j: usize) -> f64 {
+        self
+    }
+}
+
+impl ColumnRadii for &[f64] {
+    fn radius(self, j: usize) -> f64 {
+        self[j]
+    }
+}
+
+/// Projects every **column** of `l` onto the L1 ball of its radius — the
+/// full constraint set of Formula (7)/(8) in the paper at radius 1.
 ///
 /// Returns the number of columns that required projection.
-pub fn project_columns_l1(l: &mut Matrix, radius: f64) -> usize {
+///
+/// # Panics
+/// Panics if a slice of radii is shorter than the number of columns.
+pub fn project_columns_l1(l: &mut Matrix, radii: impl ColumnRadii) -> usize {
     let (rows, cols) = l.shape();
     let mut col_buf = vec![0.0; rows];
+    let mut mags = Vec::with_capacity(rows);
     let mut projected = 0;
     for j in 0..cols {
         for i in 0..rows {
             col_buf[i] = l.get(i, j);
         }
-        if !project_l1_ball(&mut col_buf, radius) {
+        if !project_l1_ball_with(&mut col_buf, radii.radius(j), &mut mags) {
             projected += 1;
             l.set_col(j, &col_buf);
         }
@@ -189,6 +219,17 @@ mod tests {
         let sums = l.col_abs_sums();
         assert!((sums[0] - 1.0).abs() < 1e-12);
         assert!((sums[1] - 0.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn column_projection_per_column_radius() {
+        let mut l = Matrix::from_rows(&[&[2.0, 2.0], &[2.0, 0.2]]);
+        let radii = [1.0, 4.0];
+        let changed = project_columns_l1(&mut l, radii.as_slice());
+        assert_eq!(changed, 1); // column 1 fits its radius of 4
+        let sums = l.col_abs_sums();
+        assert!((sums[0] - 1.0).abs() < 1e-12);
+        assert!((sums[1] - 2.2).abs() < 1e-12);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! case there is no sorting involved: the projection onto an L2 ball is
 //! a pure radial rescale, `O(r)` per column.
 
+use crate::l1::ColumnRadii;
 use lrm_linalg::Matrix;
 
 /// Projects `v` in place onto the L2 ball of the given `radius`:
@@ -35,12 +36,15 @@ pub fn project_l2_ball(v: &mut [f64], radius: f64) -> bool {
     false
 }
 
-/// Projects every **column** of `l` onto the L2 ball of the given
-/// radius — the constraint set of the approximate-DP decomposition
-/// (the L2 twin of [`crate::l1::project_columns_l1`]).
+/// Projects every **column** of `l` onto the L2 ball of its radius — the
+/// constraint set of the approximate-DP decomposition at radius 1 (the
+/// L2 twin of [`crate::l1::project_columns_l1`]).
 ///
 /// Returns the number of columns that required projection.
-pub fn project_columns_l2(l: &mut Matrix, radius: f64) -> usize {
+///
+/// # Panics
+/// Panics if a slice of radii is shorter than the number of columns.
+pub fn project_columns_l2(l: &mut Matrix, radii: impl ColumnRadii) -> usize {
     let (rows, cols) = l.shape();
     let mut col_buf = vec![0.0; rows];
     let mut projected = 0;
@@ -48,7 +52,7 @@ pub fn project_columns_l2(l: &mut Matrix, radius: f64) -> usize {
         for i in 0..rows {
             col_buf[i] = l.get(i, j);
         }
-        if !project_l2_ball(&mut col_buf, radius) {
+        if !project_l2_ball(&mut col_buf, radii.radius(j)) {
             projected += 1;
             l.set_col(j, &col_buf);
         }
@@ -116,6 +120,16 @@ mod tests {
         assert!((norm2(&c0) - 1.0).abs() < 1e-12);
         assert!((l.get(0, 1) - 0.1).abs() < 1e-15);
         assert!((l.get(1, 1) - 0.2).abs() < 1e-15);
+    }
+
+    #[test]
+    fn column_projection_per_column_radius() {
+        let mut l = Matrix::from_rows(&[&[3.0, 3.0], &[4.0, 4.0]]);
+        let radii = [1.0, 5.0];
+        let changed = project_columns_l2(&mut l, radii.as_slice());
+        assert_eq!(changed, 1); // column 1 sits on its radius of 5
+        assert!((norm2(&[l.get(0, 0), l.get(1, 0)]) - 1.0).abs() < 1e-12);
+        assert_eq!((l.get(0, 1), l.get(1, 1)), (3.0, 4.0));
     }
 
     #[test]

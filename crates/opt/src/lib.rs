@@ -47,7 +47,7 @@ pub mod warm;
 
 pub use alm::{AlmSchedule, AlmState};
 pub use deadline::Deadline;
-pub use l1::{project_columns_l1, project_l1_ball};
+pub use l1::{project_columns_l1, project_l1_ball, ColumnRadii};
 pub use l2::{project_columns_l2, project_l2_ball};
 pub use lse::SmoothMax;
 pub use nesterov::{nesterov_projected, NesterovConfig, NesterovResult};

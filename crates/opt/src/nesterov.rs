@@ -53,12 +53,14 @@ pub struct NesterovResult {
 /// Runs Algorithm 2 of the paper.
 ///
 /// * `objective` — smooth convex `G`;
-/// * `gradient` — `∇G`;
+/// * `value_and_gradient` — `(G, ∇G)` at one point, in one call: the
+///   extrapolation point needs both, and they usually share most of their
+///   work (a quadratic's `G` and `∇G` share one matrix product);
 /// * `project` — in-place Euclidean projection onto the feasible set;
 /// * `x0` — starting point (projected before use).
 pub fn nesterov_projected(
     objective: impl Fn(&Matrix) -> f64,
-    gradient: impl Fn(&Matrix) -> Matrix,
+    value_and_gradient: impl Fn(&Matrix) -> (f64, Matrix),
     project: impl Fn(&mut Matrix),
     x0: Matrix,
     cfg: &NesterovConfig,
@@ -93,11 +95,11 @@ pub fn nesterov_projected(
         let alpha = (delta_prev - 1.0) / delta_curr;
         let mut s = x_curr.clone();
         if t > 1 && alpha != 0.0 {
-            let diff = &x_curr - &x_prev;
-            s.axpy(alpha, &diff).expect("shapes agree");
+            for (sv, &pv) in s.as_mut_slice().iter_mut().zip(x_prev.as_slice()) {
+                *sv += alpha * (*sv - pv);
+            }
         }
-        let g_s = gradient(&s);
-        let f_s = objective(&s);
+        let (f_s, g_s) = value_and_gradient(&s);
 
         // Backtracking: find ω with G(U) ≤ G(S) + ⟨∇G(S), U−S⟩ + ω/2 ‖U−S‖².
         let mut accepted: Option<(Matrix, f64)> = None;
@@ -165,7 +167,7 @@ mod tests {
         let c = Matrix::from_rows(&[&[1.0, -2.0], &[0.5, 3.0]]);
         let res = nesterov_projected(
             |x| 0.5 * (x - &c).squared_sum(),
-            |x| x - &c,
+            |x| (0.5 * (x - &c).squared_sum(), x - &c),
             |_x| {},
             Matrix::zeros(2, 2),
             &NesterovConfig::default(),
@@ -184,7 +186,7 @@ mod tests {
 
         let res = nesterov_projected(
             |x| 0.5 * (x - &c).squared_sum(),
-            |x| x - &c,
+            |x| (0.5 * (x - &c).squared_sum(), x - &c),
             |x| {
                 project_columns_l1(x, 1.0);
             },
@@ -202,9 +204,13 @@ mod tests {
     fn line_search_finds_lipschitz_constant() {
         // G(x) = ½ xᵀ D x with D = diag(1, 1000).
         let d = [1.0, 1000.0];
+        let objective =
+            |x: &Matrix| 0.5 * (d[0] * x.get(0, 0).powi(2) + d[1] * x.get(1, 0).powi(2));
+        let gradient =
+            |x: &Matrix| Matrix::from_rows(&[&[d[0] * x.get(0, 0)], &[d[1] * x.get(1, 0)]]);
         let res = nesterov_projected(
-            |x| 0.5 * (d[0] * x.get(0, 0).powi(2) + d[1] * x.get(1, 0).powi(2)),
-            |x| Matrix::from_rows(&[&[d[0] * x.get(0, 0)], &[d[1] * x.get(1, 0)]]),
+            objective,
+            |x| (objective(x), gradient(x)),
             |_x| {},
             Matrix::from_rows(&[&[1.0], &[1.0]]),
             &NesterovConfig {
@@ -226,7 +232,7 @@ mod tests {
         let f0 = 0.5 * c.squared_sum(); // objective at x0 = 0
         let res = nesterov_projected(
             |x| 0.5 * (x - &c).squared_sum(),
-            |x| x - &c,
+            |x| (0.5 * (x - &c).squared_sum(), x - &c),
             |x| {
                 project_columns_l1(x, 0.5);
             },
@@ -241,9 +247,13 @@ mod tests {
     fn iteration_cap_respected() {
         // Ill-conditioned so that three iterations cannot possibly converge.
         let d = [1.0, 1000.0];
+        let objective =
+            |x: &Matrix| 0.5 * (d[0] * x.get(0, 0).powi(2) + d[1] * x.get(1, 0).powi(2));
+        let gradient =
+            |x: &Matrix| Matrix::from_rows(&[&[d[0] * x.get(0, 0)], &[d[1] * x.get(1, 0)]]);
         let res = nesterov_projected(
-            |x| 0.5 * (d[0] * x.get(0, 0).powi(2) + d[1] * x.get(1, 0).powi(2)),
-            |x| Matrix::from_rows(&[&[d[0] * x.get(0, 0)], &[d[1] * x.get(1, 0)]]),
+            objective,
+            |x| (objective(x), gradient(x)),
             |_x| {},
             Matrix::filled(2, 1, 1.0),
             &NesterovConfig {

@@ -106,7 +106,7 @@ proptest! {
         project_columns_l1(&mut expected, 1.0);
         let result = nesterov_projected(
             |x| 0.5 * (x - &c).squared_sum(),
-            |x| x - &c,
+            |x| (0.5 * (x - &c).squared_sum(), x - &c),
             |x| { project_columns_l1(x, 1.0); },
             Matrix::zeros(rows, cols),
             &NesterovConfig { max_iters: 500, ..NesterovConfig::default() },
