@@ -72,6 +72,9 @@ pub(crate) struct CachedStrategy {
     /// Outer ALM iterations of the compile that produced this strategy
     /// (`None` for non-iterative kinds and disk reloads).
     pub alm_iterations: Option<usize>,
+    /// Columns the ALM solved over (`None` exactly when `alm_iterations`
+    /// is).
+    pub solved_cols: Option<usize>,
     /// Closed-form expected average error at the engine's reference ε,
     /// computed once at insert so cache hits pay no error evaluation.
     pub expected_avg_error: f64,

@@ -51,6 +51,7 @@ pub use cache::{CacheOutcome, CacheStats};
 pub use registry::{CompileOptions, MechanismKind, NoiseFlavor};
 pub use session::{BatchAnswer, EngineError, Session};
 
+use crate::decomposition::DecompositionStats;
 use crate::error::CoreError;
 use crate::mechanism::Mechanism;
 use cache::{CachedStrategy, StrategyCache, PROFILE_BUCKETS};
@@ -314,7 +315,7 @@ impl Engine {
                             flavor,
                             workload,
                             Some(dec.rank()),
-                            Some(iterations),
+                            Some(dec.stats()),
                             built.mechanism,
                         );
                         self.cache.record(CacheOutcome::WarmStart);
@@ -348,7 +349,7 @@ impl Engine {
                         flavor,
                         workload,
                         Some(dec.rank()),
-                        Some(iterations),
+                        Some(dec.stats()),
                         built.mechanism,
                     );
                     self.cache.record(CacheOutcome::Miss);
@@ -366,11 +367,9 @@ impl Engine {
         }
 
         let built = registry::build(kind, workload, options)?;
-        let mut alm_iterations = None;
         if let Some(decomposition) = &built.decomposition {
             let profile = coarse_column_profile(workload.op().as_ref(), PROFILE_BUCKETS);
             let iterations = decomposition.stats().outer_iterations;
-            alm_iterations = Some(iterations);
             self.cache
                 .persist(&key, workload, &profile, decomposition, flavor);
             self.cache.admit_seed(
@@ -382,7 +381,8 @@ impl Engine {
             );
         }
         let rank = built.decomposition.as_ref().map(|d| d.rank());
-        let cached = self.admit(key, flavor, workload, rank, alm_iterations, built.mechanism);
+        let solve = built.decomposition.as_ref().map(|d| d.stats());
+        let cached = self.admit(key, flavor, workload, rank, solve, built.mechanism);
         self.cache.record(CacheOutcome::Miss);
         Ok(self.finish(
             kind,
@@ -405,7 +405,7 @@ impl Engine {
         flavor: NoiseFlavor,
         workload: &Workload,
         strategy_rank: Option<usize>,
-        alm_iterations: Option<usize>,
+        solve: Option<&DecompositionStats>,
         mechanism: Arc<dyn Mechanism + Send + Sync>,
     ) -> CachedStrategy {
         let cached = CachedStrategy {
@@ -413,7 +413,8 @@ impl Engine {
                 .expected_average_error_budget(self.reference_budget(flavor), None),
             workload_op: Arc::clone(workload.op()),
             strategy_rank,
-            alm_iterations,
+            alm_iterations: solve.map(|s| s.outer_iterations),
+            solved_cols: solve.map(|s| s.solved_cols),
             mechanism,
         };
         self.cache.insert(key, cached.clone());
@@ -505,6 +506,7 @@ impl Engine {
                 compile_seconds: t0.elapsed().as_secs_f64(),
                 strategy_rank: cached.strategy_rank,
                 alm_iterations: cached.alm_iterations,
+                solved_cols: cached.solved_cols,
                 warm_start,
                 expected_avg_error: cached.expected_avg_error,
                 reference_eps: self.reference_eps,
@@ -624,6 +626,9 @@ pub struct CompileMeta {
     /// Outer ALM iterations the compile ran (`None` for non-iterative
     /// kinds and for strategies reloaded from the store).
     pub alm_iterations: Option<usize>,
+    /// Columns the ALM solved over — the distinct columns of the workload
+    /// (`None` whenever [`CompileMeta::alm_iterations`] is).
+    pub solved_cols: Option<usize>,
     /// Present iff the compile was seeded by a similar cached strategy.
     pub warm_start: Option<WarmStartProvenance>,
     /// Closed-form expected **average** squared error at

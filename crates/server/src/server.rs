@@ -994,6 +994,9 @@ impl Server {
             if let Some(iters) = meta.alm_iterations {
                 compile_span.record("alm_iterations", iters);
             }
+            if let Some(cols) = meta.solved_cols {
+                compile_span.record("solved_cols", cols);
+            }
             if let Some(warm) = &meta.warm_start {
                 compile_span.record("warm_seed_fingerprint", warm.seed_fingerprint);
                 compile_span.record("warm_profile_distance", warm.profile_distance);
