@@ -226,6 +226,12 @@ impl StrategyStore {
     /// Best-effort save. Returns the number of old entries evicted to stay
     /// under capacity; a full disk or read-only directory must not fail
     /// the compile that produced the factors.
+    ///
+    /// The data is synced before the save returns. A file costs one small
+    /// write-back either way; paid here, it is spread over the compiles
+    /// that produce the files, instead of piling up as dirty pages that the
+    /// kernel writes back in a burst later, stalling every `fsync` on the
+    /// filesystem meanwhile (the ledger journals' among them).
     pub fn save(&self, header: &StoredHeader, decomposition: &WorkloadDecomposition) -> u64 {
         let path = self.path_for(header.fingerprint, header.kind, header.digest);
         let _ = std::fs::create_dir_all(&self.dir);
@@ -235,7 +241,7 @@ impl StrategyStore {
             write_header(&mut out, header)?;
             decomposition.b().write_binary(&mut out)?;
             decomposition.l().write_binary(&mut out)?;
-            out.flush()
+            out.into_inner().map_err(|e| e.into_error())?.sync_data()
         })();
         if write.is_err() {
             let _ = std::fs::remove_file(&path);
