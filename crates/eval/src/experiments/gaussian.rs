@@ -217,6 +217,10 @@ mod tests {
             tenant_delta: 1e-4,
             eps_levels: vec![0.1, 0.25],
             quiet: true,
+            // One scripted arrival schedule drives both runs, so the
+            // batch counts compared below depend on the trace, not on
+            // how two independently timed runs happened to interleave.
+            scripted: true,
             ..ServingConfig::default()
         }
     }
