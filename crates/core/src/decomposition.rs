@@ -25,11 +25,13 @@
 //! solver runs over one weighted column per class of identical columns and
 //! expands `L` back to all `n` columns (see `merged_workload`): the merged
 //! program has the full program's optimum, Φ, τ and Δ, at `k/n` of the
-//! cost per `L` step.
+//! cost per `L` step. A merged workload with more rows than columns is
+//! solved over its `k×k` QR factor (see `compress_rows`), the same program
+//! at `k/m` of the cost of every row-side product.
 
 use crate::error::CoreError;
 use lrm_dp::{sensitivity, Budget, Gaussian, SensitivityNorm};
-use lrm_linalg::decomp::Cholesky;
+use lrm_linalg::decomp::{Cholesky, Qr, Svd};
 use lrm_linalg::operator::{ColumnClasses, CsrOp, MatrixOp};
 use lrm_linalg::{ops, Matrix};
 use lrm_opt::{
@@ -298,7 +300,7 @@ impl WorkloadDecomposition {
             let seed_l = seed.map(|seed| reproject(seed, r));
             let unit = vec![1.0; n];
             let feasible = Feasible { norm, radii: &unit };
-            let solved = Self::solve(workload, r, config, feasible, seed_l)?;
+            let solved = Self::solve(workload, r, config, feasible, seed_l, n)?;
             return Ok(Self::assert_feasible(op, solved, norm));
         }
 
@@ -306,18 +308,24 @@ impl WorkloadDecomposition {
         // class (see `merged_workload`) and expand L back to n columns.
         // Φ, τ and Δ of the expansion equal those of the merged solve, so
         // the convergence contract is the full-domain one.
-        let merged = merged_workload(workload, &classes);
+        let (merged, q) = compress_rows(merged_workload(workload, &classes));
         let r = config.target_rank.resolve(&merged)?;
         let radii: Vec<f64> = classes.sizes().iter().map(|&d| (d as f64).sqrt()).collect();
-        // The seed is made feasible on the full domain first; averaging
-        // its columns within each class keeps it inside the (convex)
-        // ball, which the `√d_c` weighting turns into radius `√d_c`.
-        let seed_l = seed.map(|seed| merge_columns(&reproject(seed, r), &classes, &radii));
         let feasible = Feasible {
             norm,
             radii: &radii,
         };
-        let mut solved = Self::solve(&merged, r, config, feasible, seed_l)?;
+        // The seed is made feasible on the full domain first; averaging
+        // its columns within each class keeps it inside the (convex)
+        // ball, which the `√d_c` weighting turns into radius `√d_c`.
+        let seed_l = seed.map(|seed| {
+            let l = merge_columns(&reproject(seed, r), &classes, &radii);
+            condition_seed(&merged, r, feasible, l)
+        });
+        let mut solved = Self::solve(&merged, r, config, feasible, seed_l, n)?;
+        if let Some(q) = q {
+            solved.b = ops::matmul(&q, &solved.b)?;
+        }
         solved.l = expand_columns(&solved.l, &classes, &radii);
         solved.residual = residual_of(op, &solved.b, &solved.l);
         solved.stats.residual = solved.residual.frobenius_norm();
@@ -327,13 +335,16 @@ impl WorkloadDecomposition {
 
     /// Algorithm 1 on `workload` at inner dimension `r`, over the feasible
     /// set `feasible`, from the (already feasible) seed `L` if given, else
-    /// from the Lemma 3 construction.
+    /// from the Lemma 3 construction. `domain_size` is the `n` of the
+    /// workload being decomposed, which `workload` has fewer columns than
+    /// when it is the merged one.
     fn solve(
         workload: &Workload,
         r: usize,
         config: &DecompositionConfig,
         feasible: Feasible<'_>,
         seed_l: Option<Matrix>,
+        domain_size: usize,
     ) -> Result<Solved, CoreError> {
         let op = workload.op().as_ref();
         let (m, n) = op.shape();
@@ -535,11 +546,12 @@ impl WorkloadDecomposition {
             // for the current L has long been feasible. The tolerance is
             // identical — only which B is measured differs — and the same
             // Φ guard as the final refit keeps the swap from trading scale
-            // for residual. With r ≥ n (typical over merged column classes)
-            // any full-rank L refits W exactly, so the lens would accept
-            // the seed itself before Φ was optimized at all; there it stays
-            // off and the ALM iterate decides.
-            if warm_started && tau > gamma_eff && r < n {
+            // for residual. Over merged column classes with r ≥ k, any
+            // full-rank L refits W exactly, so the lens would accept the
+            // seed itself before Φ was optimized at all; there it stays off
+            // and the ALM iterate decides.
+            let merged = n < domain_size;
+            if warm_started && tau > gamma_eff && !(merged && r >= n) {
                 if let Ok(refit) = refit_b(op, &l) {
                     let refit_residual = residual_of(op, &refit, &l);
                     let refit_tau = refit_residual.frobenius_norm();
@@ -1142,6 +1154,73 @@ fn merged_workload(workload: &Workload, classes: &ColumnClasses) -> Workload {
     merged.expect("a finite workload merges to a finite workload")
 }
 
+/// A mapped warm seed `L'` for the merged `workload`, with the directions
+/// that would make its start worse than a cold one dropped.
+///
+/// Over merged classes a seed often carries near-dead directions: tiny
+/// singular values of `L'`, from surplus rows padded in for a larger rank
+/// or from columns averaged into the new classes. With `r ≥ k` they make
+/// `L'L'ᵀ` nearly singular, and the closed-form refit of `B` that starts
+/// the solve blows up along them past the Lemma 3 scale `Φ = ρ·Σσ²` —
+/// where the solver's seed guard runs the compile cold. Instead, `L'` is
+/// rotated into its singular basis (rows `σ_i·v_iᵀ`, which leaves every
+/// `B·L'` reachable) and its weakest rows are zeroed, one more at a
+/// time, until the refit fits the Lemma 3 scale; the zeroed rows are dead
+/// directions the outer loop revives from the residual. A seed that fits
+/// already, or in no such form, is returned as is (and the guard decides).
+fn condition_seed(workload: &Workload, r: usize, feasible: Feasible<'_>, l: Matrix) -> Matrix {
+    let op = workload.op().as_ref();
+    let scale = lemma3_scale(workload, r);
+    let fits =
+        |l: &Matrix| refit_b(op, l).is_ok_and(|b| !b.has_non_finite() && b.squared_sum() <= scale);
+    if l.has_non_finite() || fits(&l) {
+        return l;
+    }
+    let Ok(svd) = Svd::compute(&l) else {
+        return l;
+    };
+    let live = svd.singular_values.iter().filter(|&&s| s > 0.0).count();
+    (1..live)
+        .rev()
+        .map(|keep| {
+            let mut kept = Matrix::zeros(r, l.cols());
+            for (i, &sigma) in svd.singular_values[..keep].iter().enumerate() {
+                let row: Vec<f64> = svd.vt.row(i).iter().map(|v| v * sigma).collect();
+                kept.set_row(i, &row);
+            }
+            feasible.project(&mut kept);
+            kept
+        })
+        .find(fits)
+        .unwrap_or(l)
+}
+
+/// Compresses a merged workload `W'` with more rows than columns to its
+/// `k×k` factor `R` of `W' = Q·R` (thin Householder QR, `Q` with
+/// orthonormal columns), returned with `Q`; any other workload comes back
+/// as is. It is the same program: `B = Q·B_R` has the `Φ = tr(BᵀB)` and
+/// `τ = ‖W' − B·L‖_F` of `B_R` against `R`, and a part of `B` outside the
+/// range of `Q` only adds to Φ. The ALM over `W'` keeps every `B` and `π`
+/// in that range too (`B = Q·B_R`, `π = Q·π_R`), so the two runs differ
+/// only in rounding and in the basis the Lemma 3 initializer picks inside
+/// repeated singular values — while every product on the row side
+/// (Eq. 9, `BᵀB`, `Bᵀ·W`, the residual) shrinks from `m` to `k` rows.
+/// Built row by row.
+fn compress_rows(merged: Workload) -> (Workload, Option<Matrix>) {
+    let op = merged.op().as_ref();
+    let (m, k) = op.shape();
+    if m <= k {
+        return (merged, None);
+    }
+    let mut w = Matrix::zeros(m, k);
+    for i in 0..m {
+        op.fill_row(i, w.row_mut(i));
+    }
+    let qr = Qr::compute(&w).expect("m > k");
+    let r = Workload::new(qr.r()).expect("a finite workload has a finite R");
+    (r, Some(qr.q()))
+}
+
 /// `L' = L·Eᵀ` (see [`merged_workload`]): column `c` of the result is the
 /// sum of the columns of class `c`, divided by `√d_c` — `√d_c` times
 /// their average.
@@ -1366,6 +1445,16 @@ mod tests {
         );
     }
 
+    /// `good`'s factors with every row of `L` but the first shrunk 10⁹×.
+    fn near_dead_seed(good: &WorkloadDecomposition) -> WarmStart {
+        let mut weak = good.l().clone();
+        for i in 1..weak.rows() {
+            let row: Vec<f64> = weak.row(i).iter().map(|v| v * 1e-9).collect();
+            weak.set_row(i, &row);
+        }
+        WarmStart::new(good.b().clone(), weak)
+    }
+
     #[test]
     fn seed_refitting_above_the_lemma3_scale_runs_cold() {
         // A seed whose L has near-dead rows: the closed-form refit of B
@@ -1375,29 +1464,40 @@ mod tests {
             polish_iters: 0,
             ..DecompositionConfig::default()
         };
-        for w in [
-            panel(64, 16),
-            WRelated { base_queries: 4 }
-                .generate(12, 16, &mut StdRng::seed_from_u64(12))
-                .unwrap(),
-        ] {
-            let good = WorkloadDecomposition::compute(&w, &cfg).unwrap();
-            let mut weak = good.l().clone();
-            for i in 1..weak.rows() {
-                let row: Vec<f64> = weak.row(i).iter().map(|v| v * 1e-9).collect();
-                weak.set_row(i, &row);
-            }
-            let seed = WarmStart::new(good.b().clone(), weak);
-            let got = WorkloadDecomposition::compute_with_init(&w, &cfg, Some(&seed)).unwrap();
-            assert!(!got.stats().warm_started, "a near-dead seed must not start");
-            assert_eq!(got.b(), good.b());
-            assert_eq!(got.l(), good.l());
+        let w = WRelated { base_queries: 4 }
+            .generate(12, 16, &mut StdRng::seed_from_u64(12))
+            .unwrap();
+        let good = WorkloadDecomposition::compute(&w, &cfg).unwrap();
+        let seed = near_dead_seed(&good);
+        let got = WorkloadDecomposition::compute_with_init(&w, &cfg, Some(&seed)).unwrap();
+        assert!(!got.stats().warm_started, "a near-dead seed must not start");
+        assert_eq!(got.b(), good.b());
+        assert_eq!(got.l(), good.l());
 
-            // The healthy seed itself still starts warm.
-            let seed = WarmStart::new(good.b().clone(), good.l().clone());
-            let warm = WorkloadDecomposition::compute_with_init(&w, &cfg, Some(&seed)).unwrap();
-            assert!(warm.stats().warm_started);
-        }
+        // The healthy seed itself still starts warm.
+        let seed = WarmStart::new(good.b().clone(), good.l().clone());
+        let warm = WorkloadDecomposition::compute_with_init(&w, &cfg, Some(&seed)).unwrap();
+        assert!(warm.stats().warm_started);
+    }
+
+    #[test]
+    fn merged_seeds_drop_their_near_dead_directions() {
+        // Over merged column classes the same kind of seed keeps only its
+        // live direction: its refit then fits the Lemma 3 scale, and the
+        // compile starts warm and meets the cold contract.
+        let cfg = DecompositionConfig {
+            polish_iters: 0,
+            ..DecompositionConfig::default()
+        };
+        let w = panel(64, 16);
+        let good = WorkloadDecomposition::compute(&w, &cfg).unwrap();
+        let seed = near_dead_seed(&good);
+        let got = WorkloadDecomposition::compute_with_init(&w, &cfg, Some(&seed)).unwrap();
+        assert!(got.stats().warm_started);
+        assert_eq!(got.stats().converged, good.stats().converged);
+        assert!(got.sensitivity() <= 1.0 + 1e-9);
+        let gamma_eff = cfg.gamma.min(0.02 * w.op().frobenius_sq().sqrt());
+        assert!(got.stats().residual <= gamma_eff + 1e-12);
     }
 
     #[test]
@@ -1412,6 +1512,50 @@ mod tests {
             .generate(10, 12, &mut StdRng::seed_from_u64(13))
             .unwrap();
         assert_eq!(decompose_default(&distinct).stats().solved_cols, 12);
+    }
+
+    #[test]
+    fn row_compression_solves_the_program_of_the_merged_workload() {
+        // 21 rows over 16 column classes: the solve runs over the 16×16
+        // factor R of W' = Q·R and reaches the optimum Φ of the ALM over
+        // W' itself, with Q·B_R as feasible for W' as B_R is for R.
+        let w = panel(64, 16);
+        let classes = w.op().column_classes();
+        let merged = merged_workload(&w, &classes);
+        let (compressed, q) = compress_rows(merged.clone());
+        let q = q.expect("more rows than classes");
+        assert_eq!(compressed.op().shape(), (16, 16));
+        let qr = ops::matmul(&q, &compressed.matrix()).unwrap();
+        let mut row = vec![0.0; 16];
+        for i in 0..21 {
+            merged.op().fill_row(i, &mut row);
+            for (a, b) in qr.row(i).iter().zip(&row) {
+                assert!((a - b).abs() <= 1e-12, "Q·R = W'");
+            }
+        }
+
+        let cfg = DecompositionConfig::default();
+        let radii: Vec<f64> = classes.sizes().iter().map(|&d| (d as f64).sqrt()).collect();
+        let feasible = Feasible {
+            norm: SensitivityNorm::L1,
+            radii: &radii,
+        };
+        let r = cfg.target_rank.resolve(&merged).unwrap();
+        let full = WorkloadDecomposition::solve(&merged, r, &cfg, feasible, None, 64).unwrap();
+        let small = WorkloadDecomposition::solve(&compressed, r, &cfg, feasible, None, 64).unwrap();
+        let phi = full.b.squared_sum();
+        assert!((small.b.squared_sum() - phi).abs() <= 1e-9 * phi);
+        let b = ops::matmul(&q, &small.b).unwrap();
+        assert!(
+            (b.squared_sum() - phi).abs() <= 1e-9 * phi,
+            "Φ(Q·B_R) = Φ(B_R)"
+        );
+        let tau = residual_of(merged.op().as_ref(), &b, &small.l).frobenius_norm();
+        assert!(
+            (tau - small.stats.residual).abs() <= 1e-9,
+            "τ over W' = τ over R"
+        );
+        assert!(tau <= 1e-6 && full.stats.residual <= 1e-6);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Warm-start accuracy on the two batch shapes a grid-snapped server
 //! compiles: a chain of 20 fixed-seed random batches, each seeded by the
 //! decomposition of the batch before it, must reach the noise scale
-//! `Φ·Δ²` of cold compiles of the same workloads (mean within 5%).
+//! `Φ·Δ²` of cold compiles of the same workloads (mean within 5%), and
+//! every seeded compile must actually start warm.
 //!
 //! Iteration counts alone cannot tell a warm start that resumes the
 //! optimization from one that stops at its first feasible iterate; this
@@ -83,10 +84,10 @@ fn assert_warm_matches_cold(norm: SensitivityNorm, n: usize, cuts: usize, rows: 
         warm / cold,
         CHAIN - 1
     );
-    assert!(
-        warm_started * 2 >= CHAIN - 1,
-        "only {warm_started} of {} seeded compiles started warm",
-        CHAIN - 1
+    assert_eq!(
+        warm_started,
+        CHAIN - 1,
+        "every seeded compile must start warm"
     );
     assert!(
         warm <= 1.05 * cold,
