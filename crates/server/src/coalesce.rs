@@ -106,39 +106,58 @@ impl BatchKey {
 ///
 /// Interval rows are differences of prefix indicators, so the combined
 /// row space is spanned by the prefix vectors at the distinct boundary
-/// points `{lo, hi+1}` the batch has seen — the size of that set bounds
-/// the combined rank. CSR batches are bounded by their number of
-/// *distinct* rows instead (duplicate rows add nothing), tracked by row
-/// hash. Either way, a member that contributes no new element cannot
-/// raise the rank of the combined workload: the batch's shared structure
-/// is saturated, and further members only add window latency and
-/// fingerprint churn. Hash collisions on the sparse side can only
-/// under-estimate, which closes a batch early — never a correctness
-/// issue, members are answered identically either way.
+/// points `{lo, hi+1}` the batch has seen — the size of that set (less
+/// the point 0, whose prefix vector is zero) bounds the combined rank.
+/// CSR batches are bounded by their number of *distinct* rows instead
+/// (duplicate rows add nothing), tracked by row hash. Either way, a
+/// member that contributes no new element cannot raise the rank of the
+/// combined workload: the batch's shared structure is saturated. Hash
+/// collisions on the sparse side can only under-estimate, which closes a
+/// batch early — never a correctness issue, members are answered
+/// identically either way.
+///
+/// The same bounds price the compile. The decomposition solves over the
+/// distinct columns of the workload and the row space of its rows, both
+/// of which the rank bound `ρ` also bounds for these row families, at
+/// inner dimension `r ∝ ρ`; an ALM step costs `O(r²·k)`, so a compile
+/// costs `ρ³` plus a fixed amount of work (see [`compile_cost`]). The
+/// tracker keeps the sum of its members' own costs, which is what
+/// compiling each member alone would cost, and [`RankTracker::pays`]
+/// compares the batch against it.
 #[derive(Debug, Default)]
 pub(crate) struct RankTracker {
     elements: HashSet<u64>,
+    /// Whether an interval row starts at 0 (see above).
+    origin: bool,
+    rows: usize,
+    solo_cost: f64,
 }
 
 impl RankTracker {
     /// Folds one member's rows into the estimate; returns whether the
     /// estimated combined rank grew.
     pub fn admit(&mut self, spec: &PreparedSpec) -> bool {
-        let mut grew = false;
+        let mut own = HashSet::new();
+        let mut origin = false;
         match spec.rows() {
             PreparedRows::Intervals(rows) => {
                 for &(lo, hi) in rows {
-                    grew |= self.elements.insert(lo as u64);
-                    grew |= self.elements.insert(hi as u64 + 1);
+                    own.insert(lo as u64);
+                    own.insert(hi as u64 + 1);
+                    origin |= lo == 0;
                 }
             }
             PreparedRows::Sparse(rows) => {
-                for row in rows {
-                    grew |= self.elements.insert(hash_sparse_row(row));
-                }
+                own.extend(rows.iter().map(|row| hash_sparse_row(row)));
             }
         }
-        grew
+        let rows = spec.num_queries();
+        self.solo_cost += compile_cost((own.len() - usize::from(origin)).min(rows));
+        self.rows += rows;
+        self.origin |= origin;
+        let before = self.elements.len();
+        self.elements.extend(own);
+        self.elements.len() > before
     }
 
     /// The current rank upper bound.
@@ -146,7 +165,30 @@ impl RankTracker {
     pub fn estimate(&self) -> usize {
         self.elements.len()
     }
+
+    /// Whether compiling the batch together is estimated to cost no more
+    /// than compiling each of its members alone. Data-independent: it
+    /// reads the members' query structure, never the data.
+    pub fn pays(&self) -> bool {
+        let rank = (self.elements.len() - usize::from(self.origin)).min(self.rows);
+        compile_cost(rank) <= self.solo_cost
+    }
 }
+
+/// The compile cost, up to a constant factor, of a workload of rank bound
+/// `rho` (see [`RankTracker`]): `ρ³` for the ALM plus
+/// [`FIXED_COMPILE_COST`].
+fn compile_cost(rho: usize) -> f64 {
+    (rho as f64).powi(3) + FIXED_COMPILE_COST
+}
+
+/// The work every compile does whatever its rank, in units of `ρ³`: the
+/// intercept of LRM compile time against `ρ³`, fitted over interval
+/// panels of 1–48 queries at n = 64 and 256 under the fixed-work solver
+/// configuration the `lrm-eval` serving harnesses compile with (about
+/// 1 ms against 1 µs per unit). It makes a batch of small members pay
+/// sooner than `ρ³` alone would say.
+const FIXED_COMPILE_COST: f64 = 1000.0;
 
 /// FNV-1a over a sparse row's `(cell, weight)` entries.
 fn hash_sparse_row(row: &[(usize, f64)]) -> u64 {
@@ -331,6 +373,44 @@ mod tests {
         });
         assert!(tracker.admit(&c));
         assert_eq!(tracker.estimate(), 5); // + {8, 24}
+    }
+
+    #[test]
+    fn a_batch_pays_once_it_costs_no_more_than_its_members_alone() {
+        // Boundaries {0, 4, …, 28, 64}: rank 8 (the prefix at 0 is the
+        // zero row), and {0, 36, …, 60, 64}: rank 8 again.
+        let low = || {
+            let mut ranges: Vec<(f64, f64)> = (0..7)
+                .map(|i| (4.0 * i as f64, 4.0 * (i + 1) as f64))
+                .collect();
+            ranges.push((28.0, 64.0));
+            prepared(QuerySpec::Ranges { attr: 0, ranges })
+        };
+        let high = || {
+            let mut ranges = vec![(0.0, 36.0)];
+            ranges.extend((9..16).map(|i| (4.0 * i as f64, 4.0 * (i + 1) as f64)));
+            prepared(QuerySpec::Ranges { attr: 0, ranges })
+        };
+        let mut tracker = RankTracker::default();
+        tracker.admit(&low());
+        assert!(
+            tracker.pays(),
+            "a lone member costs exactly its solo compile"
+        );
+        assert!(!tracker.admit(&low()));
+        assert!(tracker.pays(), "a duplicate adds rows, not rank");
+
+        // Together the two grids have rank 15: 15³ + c exceeds
+        // 2·(8³ + c), so compiling them apart is cheaper...
+        let mut tracker = RankTracker::default();
+        tracker.admit(&low());
+        assert!(tracker.admit(&high()));
+        assert_eq!(tracker.estimate(), 16);
+        assert!(!tracker.pays());
+        // ...until a third member inside their boundaries shares the
+        // compile: 15³ + c ≤ 3·(8³ + c).
+        assert!(!tracker.admit(&low()));
+        assert!(tracker.pays());
     }
 
     #[test]

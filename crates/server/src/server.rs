@@ -23,7 +23,8 @@
 //!    server the per-release ε is part of the batch key; on a Gaussian
 //!    server only the δ-class is — members at *different* ε coalesce
 //!    (see step 5). The batch closes when its estimated combined rank
-//!    stops growing (see [`ServerBuilder::rank_close`]), when the window
+//!    stops growing and the batch pays for its compile (see
+//!    [`ServerBuilder::rank_close`]), when the window
 //!    elapses, or at the `max_batch` ceiling. A lone spec falls through
 //!    as a single-request batch. The scheduler also feeds every admitted
 //!    shape to the background compile farm (see
@@ -208,9 +209,10 @@ impl ServerBuilder {
     }
 
     /// Whether the scheduler closes a batch as soon as its estimated
-    /// combined rank stops growing (default `true`).
+    /// combined rank stops growing and compiling it costs no more than
+    /// compiling its members alone (default `true`).
     ///
-    /// An open batch tracks an upper bound on the rank of its combined
+    /// An open batch tracks an upper bound ρ on the rank of its combined
     /// workload — distinct interval boundary points, or distinct CSR
     /// rows. A member that adds nothing to that bound cannot change the
     /// strategy the batch compiles to: the batch's shared structure is
@@ -219,7 +221,11 @@ impl ServerBuilder {
     /// hits). Closing at saturation replaces `max_batch` as the primary
     /// close trigger — the cap stays as a hard ceiling — and fixes the
     /// measured BENCH_5 throughput inversion past `max_batch` 16 at
-    /// n = 256.
+    /// n = 256. The solver runs over a workload's distinct columns and
+    /// its row space, both bounded by ρ, so a compile costs ~ρ³ plus a
+    /// fixed amount: a saturated batch that still costs more than its
+    /// members would alone stays open, since every further member it
+    /// takes in shares the compile at no extra ALM cost.
     pub fn rank_close(mut self, enabled: bool) -> Self {
         self.rank_close = enabled;
         self
@@ -713,9 +719,13 @@ impl Server {
                     // Rank-growth close: a member that adds no new rank
                     // element means the batch's shared structure is
                     // saturated — flush now (the member still rides along
-                    // and shares the noise draw). The cap stays as a hard
-                    // ceiling.
-                    let saturated = self.rank_close && !rank_grew && batch.submissions.len() > 1;
+                    // and shares the noise draw), once the batch costs no
+                    // more to compile than its members would alone. The
+                    // cap stays as a hard ceiling.
+                    let saturated = self.rank_close
+                        && !rank_grew
+                        && batch.submissions.len() > 1
+                        && batch.rank.pays();
                     let at_ceiling = batch.submissions.len() >= self.max_batch;
                     if at_ceiling || saturated || self.coalesce_window.is_zero() {
                         // With a zero window `saturated` is impossible
