@@ -114,7 +114,6 @@ impl EventedConfig {
                 tenant_delta: 0.0,
                 eps_levels: vec![0.05, 0.1, 0.2, 0.4],
                 rank_close: false,
-                scripted: false,
             },
             shards: 8,
             driver_threads: 4,

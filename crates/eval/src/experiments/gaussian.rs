@@ -198,7 +198,55 @@ pub fn run_gaussian_bench(cfg: &ServingConfig) -> GaussianReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::serving::{run_serving_mode_with, ClientOutcome, Trace, TraceRequest};
     use std::time::Duration;
+
+    /// [`run_gaussian_bench`] on one scripted arrival schedule: a single
+    /// driver submits the trace in round-robin client order, `max_batch`
+    /// requests at a time, and waits each round out before the next. A
+    /// round's submissions reach the scheduler long before its window
+    /// ends, and every admission check sees the ledgers the rounds before
+    /// it left, so both runs' batches depend on the trace alone — not on
+    /// how two independently timed runs happened to interleave.
+    fn run_scripted_bench(cfg: &ServingConfig) -> GaussianReport {
+        let trace = build_trace(cfg);
+        let run =
+            |mode| run_serving_mode_with(cfg, &trace, mode, |server| drive(server, &trace, cfg));
+        GaussianReport {
+            config: cfg.clone(),
+            coalesced: run(ServingMode::Coalescing),
+            fragmented: run(ServingMode::Fragmented),
+        }
+    }
+
+    fn drive(
+        server: &lrm_server::Server,
+        trace: &Trace,
+        cfg: &ServingConfig,
+    ) -> (Vec<ClientOutcome>, lrm_server::ServerReport) {
+        let longest = trace.per_client.iter().map(Vec::len).max().unwrap_or(0);
+        let order: Vec<&TraceRequest> = (0..longest)
+            .flat_map(|i| trace.per_client.iter().filter_map(move |reqs| reqs.get(i)))
+            .collect();
+        server.serve(|client| {
+            let mut outcome = ClientOutcome::new(cfg);
+            for round in order.chunks(cfg.max_batch) {
+                let tickets: Vec<_> = round
+                    .iter()
+                    .map(|req| {
+                        let tenant = ServingConfig::tenant_name(req.tenant);
+                        client
+                            .submit_budget(&tenant, &req.spec, req.budget)
+                            .expect("trace specs and tenants are valid")
+                    })
+                    .collect();
+                for (req, ticket) in round.iter().zip(tickets) {
+                    outcome.record(req, ticket.wait());
+                }
+            }
+            vec![outcome]
+        })
+    }
 
     fn tiny() -> ServingConfig {
         ServingConfig {
@@ -217,10 +265,6 @@ mod tests {
             tenant_delta: 1e-4,
             eps_levels: vec![0.1, 0.25],
             quiet: true,
-            // One scripted arrival schedule drives both runs, so the
-            // batch counts compared below depend on the trace, not on
-            // how two independently timed runs happened to interleave.
-            scripted: true,
             ..ServingConfig::default()
         }
     }
@@ -228,7 +272,10 @@ mod tests {
     #[test]
     fn gaussian_bench_runs_and_holds_its_invariants() {
         let _guard = crate::experiments::densification_guard();
-        let report = run_gaussian_bench(&tiny());
+        let report = run_scripted_bench(&ServingConfig {
+            window: Duration::from_millis(200),
+            ..tiny()
+        });
 
         // The cross-ε run actually mixed ε inside batches; the
         // fragmented run never did.

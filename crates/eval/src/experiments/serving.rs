@@ -31,7 +31,6 @@ use lrm_linalg::operator::densification_count;
 use lrm_server::{QuerySpec, Release, Server, ServerError, ServerReport};
 use lrm_workload::{Attribute, Schema};
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
@@ -88,14 +87,6 @@ pub struct ServingConfig {
     /// *both* runs — because it closes batches on a property orthogonal
     /// to scheduler keying, which is the variable under measurement.
     pub rank_close: bool,
-    /// Replay the trace as one scripted arrival schedule instead of from
-    /// free-running client threads: the requests in round-robin client
-    /// order, `max_batch` at a time, each round in its own `serve` that
-    /// drains before the next round is submitted. Batches then close at
-    /// the ceiling, on rank growth, or at the drain — never on a timer —
-    /// and every admission check of a round sees the ledgers the rounds
-    /// before it left, so batch counts depend on the trace alone.
-    pub scripted: bool,
 }
 
 impl Default for ServingConfig {
@@ -119,7 +110,6 @@ impl Default for ServingConfig {
             tenant_delta: 0.0,
             eps_levels: Vec::new(),
             rank_close: true,
-            scripted: false,
         }
     }
 }
@@ -354,7 +344,7 @@ pub struct ServingRunStats {
 
 /// Per-thread accumulation while driving the trace.
 #[derive(Debug, Default, Clone)]
-struct ClientOutcome {
+pub(crate) struct ClientOutcome {
     granted_per_tenant: Vec<f64>,
     granted_delta_per_tenant: Vec<f64>,
     answered: u64,
@@ -364,7 +354,7 @@ struct ClientOutcome {
 }
 
 impl ClientOutcome {
-    fn new(cfg: &ServingConfig) -> Self {
+    pub(crate) fn new(cfg: &ServingConfig) -> Self {
         Self {
             granted_per_tenant: vec![0.0; cfg.tenants],
             granted_delta_per_tenant: vec![0.0; cfg.tenants],
@@ -374,7 +364,7 @@ impl ClientOutcome {
 
     /// Accounts one request's outcome: its grant and answer error, or a
     /// typed budget refusal.
-    fn record(&mut self, req: &TraceRequest, outcome: Result<Release, ServerError>) {
+    pub(crate) fn record(&mut self, req: &TraceRequest, outcome: Result<Release, ServerError>) {
         match outcome {
             Ok(release) => {
                 self.granted_per_tenant[req.tenant] += release.eps_spent.value();
@@ -394,16 +384,37 @@ impl ClientOutcome {
     }
 }
 
-/// A coalescing window no scripted round outlives: its batches close at
-/// the ceiling, on rank growth, or at the round's drain.
-const SCRIPTED_WINDOW: Duration = Duration::from_secs(3600);
-
 /// Replays the trace against one server configuration.
 pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -> ServingRunStats {
+    run_serving_mode_with(cfg, trace, mode, |server| {
+        server.serve(|client| {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = trace
+                    .per_client
+                    .iter()
+                    .map(|requests| {
+                        let client = client.clone();
+                        s.spawn(move || drive_client(&client, requests, cfg))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("client thread"))
+                    .collect::<Vec<ClientOutcome>>()
+            })
+        })
+    })
+}
+
+/// [`run_serving_mode`] with the trace replayed by `drive`: one `serve`
+/// of the server, returning what its clients observed.
+pub(crate) fn run_serving_mode_with(
+    cfg: &ServingConfig,
+    trace: &Trace,
+    mode: ServingMode,
+    drive: impl FnOnce(&Server) -> (Vec<ClientOutcome>, ServerReport),
+) -> ServingRunStats {
     let (window, max_batch) = match mode {
-        ServingMode::Coalescing | ServingMode::Fragmented if cfg.scripted => {
-            (SCRIPTED_WINDOW, cfg.max_batch)
-        }
         ServingMode::Coalescing | ServingMode::Fragmented => (cfg.window, cfg.max_batch),
         ServingMode::Baseline => (Duration::ZERO, 1),
     };
@@ -436,27 +447,7 @@ pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -
 
     let densify_before = densification_count();
     let t0 = Instant::now();
-    let (outcomes, reports) = if cfg.scripted {
-        serve_scripted(&server, trace, cfg, max_batch)
-    } else {
-        let (outcomes, report) = server.serve(|client| {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = trace
-                    .per_client
-                    .iter()
-                    .map(|requests| {
-                        let client = client.clone();
-                        s.spawn(move || drive_client(&client, requests, cfg))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("client thread"))
-                    .collect::<Vec<ClientOutcome>>()
-            })
-        });
-        (outcomes, vec![report])
-    };
+    let (outcomes, report) = drive(&server);
     let wall_seconds = t0.elapsed().as_secs_f64();
     let densifications = densification_count() - densify_before;
 
@@ -489,17 +480,6 @@ pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -
         .iter()
         .any(|&g| g > cfg.tenant_delta * (1.0 + 1e-9) + 1e-18);
 
-    // Server counters summed over the run's serves (one, unless
-    // scripted); the engine's cache counters are cumulative.
-    let metrics = || reports.iter().map(|r| &r.metrics);
-    let batches: u64 = metrics().map(|m| m.batches).sum();
-    let batch_requests: f64 = metrics().map(|m| m.mean_occupancy * m.batches as f64).sum();
-    let mut latency_buckets: BTreeMap<u64, u64> = BTreeMap::new();
-    for (floor_us, count) in metrics().flat_map(|m| m.histogram_buckets()) {
-        *latency_buckets.entry(floor_us).or_default() += count;
-    }
-    let cache = &reports.last().expect("at least one serve").cache;
-
     ServingRunStats {
         mode: mode.label(),
         wall_seconds,
@@ -513,78 +493,20 @@ pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -
         } else {
             0.0
         },
-        batches,
-        coalesced_batches: metrics().map(|m| m.coalesced_batches).sum(),
-        mean_occupancy: if batches > 0 {
-            batch_requests / batches as f64
-        } else {
-            0.0
-        },
-        max_occupancy: metrics().map(|m| m.max_occupancy).max().unwrap_or(0),
-        cache_misses: cache.misses,
-        cache_hits: cache.memory_hits,
-        peak_queue_depth: metrics().map(|m| m.peak_queue_depth).max().unwrap_or(0),
-        p50_latency_ms: nearest_rank_ms(&latency_buckets, 0.50),
-        p99_latency_ms: nearest_rank_ms(&latency_buckets, 0.99),
+        batches: report.metrics.batches,
+        coalesced_batches: report.metrics.coalesced_batches,
+        mean_occupancy: report.metrics.mean_occupancy,
+        max_occupancy: report.metrics.max_occupancy,
+        cache_misses: report.cache.misses,
+        cache_hits: report.cache.memory_hits,
+        peak_queue_depth: report.metrics.peak_queue_depth,
+        p50_latency_ms: report.metrics.p50_latency.as_secs_f64() * 1e3,
+        p99_latency_ms: report.metrics.p99_latency.as_secs_f64() * 1e3,
         overspend,
         delta_overspend,
-        cross_eps_batches: metrics().map(|m| m.cross_eps_batches).sum(),
+        cross_eps_batches: report.metrics.cross_eps_batches,
         densifications,
     }
-}
-
-/// The nearest-rank `q` quantile, in milliseconds, of a latency histogram
-/// given as `bucket floor (µs) → count` — the server's own percentile
-/// rule, so one serve's histogram reproduces its reported percentiles.
-fn nearest_rank_ms(buckets: &BTreeMap<u64, u64>, q: f64) -> f64 {
-    let total: u64 = buckets.values().sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
-    let mut seen = 0;
-    for (&floor_us, &count) in buckets {
-        seen += count;
-        if seen >= rank {
-            return floor_us as f64 / 1e3;
-        }
-    }
-    unreachable!("the ranks add up to the total")
-}
-
-/// The scripted arrival schedule (see [`ServingConfig::scripted`]): one
-/// driver, one `serve` per round of `round` requests in round-robin
-/// client order. A round's tickets all resolve during its drain.
-fn serve_scripted(
-    server: &Server,
-    trace: &Trace,
-    cfg: &ServingConfig,
-    round: usize,
-) -> (Vec<ClientOutcome>, Vec<ServerReport>) {
-    let longest = trace.per_client.iter().map(Vec::len).max().unwrap_or(0);
-    let order: Vec<&TraceRequest> = (0..longest)
-        .flat_map(|i| trace.per_client.iter().filter_map(move |reqs| reqs.get(i)))
-        .collect();
-    let mut outcome = ClientOutcome::new(cfg);
-    let mut reports = Vec::new();
-    for requests in order.chunks(round.max(1)) {
-        let (tickets, report) = server.serve(|client| {
-            requests
-                .iter()
-                .map(|req| {
-                    let tenant = ServingConfig::tenant_name(req.tenant);
-                    client
-                        .submit_budget(&tenant, &req.spec, req.budget)
-                        .expect("trace specs and tenants are valid")
-                })
-                .collect::<Vec<_>>()
-        });
-        for (req, ticket) in requests.iter().zip(tickets) {
-            outcome.record(req, ticket.wait());
-        }
-        reports.push(report);
-    }
-    (vec![outcome], reports)
 }
 
 /// One client thread: submit in bursts, wait the burst out, accumulate
