@@ -251,35 +251,22 @@ impl WorkloadDecomposition {
         Self::compute_with_init_flavored(workload, config, norm, None)
     }
 
-    /// Runs Algorithm 1 from a warm-start seed instead of the Lemma 3
-    /// construction: the seed `L` is re-projected onto the target rank
-    /// (feasible by construction, see [`WarmStart::reproject_l`]) and `B`
-    /// is either taken from the seed (when its shape matches exactly) or
-    /// refit in closed form — the β→∞ limit of Eq. 9, which is the best
-    /// `B` for the seeded `L` and works across different query counts
-    /// `m`. Everything after the initializer — the outer loop, the
-    /// convergence criteria, the polish phase, the safety fallbacks — is
-    /// the identical code path as [`Self::compute`], so a warm-started
-    /// decomposition meets exactly the same feasibility and convergence
-    /// contract as a cold one; only the starting point (and therefore
-    /// the recorded `outer_iterations`) differs.
+    /// [`Self::compute_flavored`] from a warm-start seed instead of the
+    /// Lemma 3 construction: the seed `L` is re-projected onto the target
+    /// rank and the norm's feasible set ([`WarmStart::reproject_l`] /
+    /// [`WarmStart::reproject_l_l2`]) and `B` is refit in closed form —
+    /// the β→∞ limit of Eq. 9, which is the best `B` for the seeded `L`
+    /// and works across different query counts `m`. Everything after the
+    /// initializer — the outer loop, the convergence criteria, the polish
+    /// phase, the safety fallbacks — is the identical code path as
+    /// [`Self::compute`], so a warm-started decomposition meets exactly
+    /// the same feasibility and convergence contract as a cold one; only
+    /// the starting point (and therefore the recorded `outer_iterations`)
+    /// differs.
     ///
     /// A seed over the wrong domain size (or a failing closed-form
     /// refit) is ignored and the run falls back to the cold initializer;
     /// `stats().warm_started` reports what actually happened.
-    pub fn compute_with_init(
-        workload: &Workload,
-        config: &DecompositionConfig,
-        init: Option<&WarmStart>,
-    ) -> Result<Self, CoreError> {
-        Self::compute_with_init_flavored(workload, config, SensitivityNorm::L1, init)
-    }
-
-    /// [`Self::compute_flavored`] from a warm-start seed. The seed is
-    /// re-projected onto the **target** norm's feasible set
-    /// ([`WarmStart::reproject_l`] / [`WarmStart::reproject_l_l2`]), which
-    /// is what lets an L1-optimized neighbor seed — never serve — an L2
-    /// compile: the factors carry over, the feasible set does not.
     pub fn compute_with_init_flavored(
         workload: &Workload,
         config: &DecompositionConfig,
@@ -1430,7 +1417,13 @@ mod tests {
         assert!(!cold_b.stats().warm_started);
 
         let seed = WarmStart::new(cold_a.b().clone(), cold_a.l().clone());
-        let warm_b = WorkloadDecomposition::compute_with_init(&wb, &cfg, Some(&seed)).unwrap();
+        let warm_b = WorkloadDecomposition::compute_with_init_flavored(
+            &wb,
+            &cfg,
+            SensitivityNorm::L1,
+            Some(&seed),
+        )
+        .unwrap();
         assert!(warm_b.stats().warm_started);
         assert_eq!(warm_b.stats().converged, cold_b.stats().converged);
         assert!(warm_b.sensitivity() <= 1.0 + 1e-9);
@@ -1469,14 +1462,26 @@ mod tests {
             .unwrap();
         let good = WorkloadDecomposition::compute(&w, &cfg).unwrap();
         let seed = near_dead_seed(&good);
-        let got = WorkloadDecomposition::compute_with_init(&w, &cfg, Some(&seed)).unwrap();
+        let got = WorkloadDecomposition::compute_with_init_flavored(
+            &w,
+            &cfg,
+            SensitivityNorm::L1,
+            Some(&seed),
+        )
+        .unwrap();
         assert!(!got.stats().warm_started, "a near-dead seed must not start");
         assert_eq!(got.b(), good.b());
         assert_eq!(got.l(), good.l());
 
         // The healthy seed itself still starts warm.
         let seed = WarmStart::new(good.b().clone(), good.l().clone());
-        let warm = WorkloadDecomposition::compute_with_init(&w, &cfg, Some(&seed)).unwrap();
+        let warm = WorkloadDecomposition::compute_with_init_flavored(
+            &w,
+            &cfg,
+            SensitivityNorm::L1,
+            Some(&seed),
+        )
+        .unwrap();
         assert!(warm.stats().warm_started);
     }
 
@@ -1492,7 +1497,13 @@ mod tests {
         let w = panel(64, 16);
         let good = WorkloadDecomposition::compute(&w, &cfg).unwrap();
         let seed = near_dead_seed(&good);
-        let got = WorkloadDecomposition::compute_with_init(&w, &cfg, Some(&seed)).unwrap();
+        let got = WorkloadDecomposition::compute_with_init_flavored(
+            &w,
+            &cfg,
+            SensitivityNorm::L1,
+            Some(&seed),
+        )
+        .unwrap();
         assert!(got.stats().warm_started);
         assert_eq!(got.stats().converged, good.stats().converged);
         assert!(got.sensitivity() <= 1.0 + 1e-9);
@@ -1576,14 +1587,26 @@ mod tests {
         let d4 = WorkloadDecomposition::compute(&w, &cfg4).unwrap();
         let seed = WarmStart::new(d4.b().clone(), d4.l().clone());
 
-        let up = WorkloadDecomposition::compute_with_init(&w, &cfg6, Some(&seed)).unwrap();
+        let up = WorkloadDecomposition::compute_with_init_flavored(
+            &w,
+            &cfg6,
+            SensitivityNorm::L1,
+            Some(&seed),
+        )
+        .unwrap();
         assert!(up.stats().warm_started);
         assert_eq!(up.rank(), 6);
         assert!(up.sensitivity() <= 1.0 + 1e-9);
 
         let d6 = WorkloadDecomposition::compute(&w, &cfg6).unwrap();
         let seed6 = WarmStart::new(d6.b().clone(), d6.l().clone());
-        let down = WorkloadDecomposition::compute_with_init(&w, &cfg4, Some(&seed6)).unwrap();
+        let down = WorkloadDecomposition::compute_with_init_flavored(
+            &w,
+            &cfg4,
+            SensitivityNorm::L1,
+            Some(&seed6),
+        )
+        .unwrap();
         assert!(down.stats().warm_started);
         assert_eq!(down.rank(), 4);
         assert!(down.sensitivity() <= 1.0 + 1e-9);
@@ -1596,7 +1619,13 @@ mod tests {
         let cfg = DecompositionConfig::default();
         let d = WorkloadDecomposition::compute(&other, &cfg).unwrap();
         let seed = WarmStart::new(d.b().clone(), d.l().clone());
-        let got = WorkloadDecomposition::compute_with_init(&w, &cfg, Some(&seed)).unwrap();
+        let got = WorkloadDecomposition::compute_with_init_flavored(
+            &w,
+            &cfg,
+            SensitivityNorm::L1,
+            Some(&seed),
+        )
+        .unwrap();
         assert!(!got.stats().warm_started, "wrong-n seed must be ignored");
         assert!(got.sensitivity() <= 1.0 + 1e-9);
     }
@@ -1673,9 +1702,8 @@ mod tests {
 
     #[test]
     fn l1_seed_warm_starts_an_l2_compile() {
-        // Cross-flavor seeding: an L1-optimized neighbor seeds the L2
-        // program; the result is a fresh, L2-feasible, converged
-        // decomposition — the seed is never served.
+        // An L1-optimized seed is re-projected onto the L2 ball; the
+        // result is a fresh, L2-feasible, converged decomposition.
         let cfg = DecompositionConfig {
             polish_iters: 0,
             ..DecompositionConfig::default()

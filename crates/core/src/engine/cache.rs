@@ -13,8 +13,9 @@
 //!   (see [`super::store`]), so a fresh process pointed at the same
 //!   directory skips Algorithm 1 and only pays the (cheap)
 //!   load-and-revalidate path.
-//! * **Similarity index** — on an exact miss, a nearest cached
-//!   decomposition over the same `(kind, options, structural class, n)`
+//! * **Similarity index** — on an exact miss, the nearest decomposition
+//!   this engine holds in memory (freshly compiled, or loaded by a disk
+//!   hit) over the same `(kind, options digest, structural class, n)`
 //!   with compatible rank and a close coarse column profile seeds the ALM
 //!   solver as a warm start. A similarity hit is **never served**: the
 //!   solver still runs to the full convergence contract; only its
@@ -30,7 +31,6 @@ use crate::decomposition::WorkloadDecomposition;
 use crate::engine::registry::{MechanismKind, NoiseFlavor};
 use crate::engine::store::{StoredHeader, StrategyStore};
 use crate::mechanism::Mechanism;
-use lrm_dp::SensitivityNorm;
 use lrm_linalg::operator::profile_distance;
 use lrm_opt::WarmStart;
 use lrm_workload::{Fingerprint, Workload};
@@ -106,8 +106,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Compiles that ran the full strategy search from a similarity seed.
     pub warm_hits: u64,
-    /// Factor loads from the on-disk strategy store (exact reloads and
-    /// disk-resident warm-start seeds).
+    /// Factor loads from the on-disk strategy store.
     pub store_loads: u64,
     /// Store files evicted to stay under the capacity bound.
     pub evictions: u64,
@@ -115,18 +114,8 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// Where a similarity seed's factors live.
-enum SeedSource {
-    /// Still resident from a compile in this process.
-    Memory(Arc<WorkloadDecomposition>),
-    /// On disk; loaded lazily only when the entry wins a nearest-seed
-    /// query. This is what makes a restarted process warm from a
-    /// header-only scan.
-    Disk(PathBuf),
-}
-
-/// One similarity-index entry: the public coordinates of a cached
-/// decomposition, plus a handle to its factors.
+/// One similarity-index entry: the public coordinates of a decomposition
+/// held in memory, plus its factors.
 struct SimEntry {
     kind: MechanismKind,
     digest: u64,
@@ -134,13 +123,8 @@ struct SimEntry {
     n: usize,
     rank: usize,
     fingerprint: u64,
-    cold_iterations: usize,
-    /// Sensitivity norm the seed's factors were optimized under. Seeds
-    /// cross flavors freely (the solver re-projects onto the target
-    /// feasible set), but provenance records when they did.
-    norm: SensitivityNorm,
     profile: Vec<f64>,
-    source: SeedSource,
+    decomposition: Arc<WorkloadDecomposition>,
 }
 
 /// What the similarity index reports about a winning seed — surfaced as
@@ -149,14 +133,6 @@ struct SimEntry {
 pub(crate) struct SeedInfo {
     pub fingerprint: u64,
     pub distance: f64,
-    pub cold_iterations: usize,
-    /// The seed came from a different options digest (e.g. a different γ,
-    /// or the other noise flavor). Exact-digest seeds always win over
-    /// cross-digest ones at any distance.
-    pub cross_digest: bool,
-    /// The norm the seed was optimized under — `!=` the compile's own
-    /// norm exactly when this is a cross-flavor warm start.
-    pub seed_norm: SensitivityNorm,
 }
 
 pub(crate) struct StrategyCache {
@@ -172,39 +148,18 @@ pub(crate) struct StrategyCache {
 }
 
 impl StrategyCache {
-    /// Opens the cache; with a store directory, a header-only scan of the
-    /// surviving `LRMS` files seeds the similarity index so a restarted
-    /// process warms from its predecessor's work without loading a single
-    /// factor matrix up front.
+    /// Opens the cache, backed by an `LRMS` store when `store_dir` is set.
     pub fn new(store_dir: Option<PathBuf>, store_capacity: usize) -> Self {
-        let store = store_dir.map(|dir| StrategyStore::open(dir, store_capacity));
-        let mut sim = Vec::new();
-        if let Some(store) = &store {
-            for (header, path) in store.scan() {
-                sim.push(SimEntry {
-                    kind: header.kind,
-                    digest: header.digest,
-                    class: intern_class(&header.class),
-                    n: header.n,
-                    rank: header.rank,
-                    fingerprint: header.fingerprint,
-                    cold_iterations: header.cold_iterations,
-                    norm: header.flavor.norm(),
-                    profile: header.profile,
-                    source: SeedSource::Disk(path),
-                });
-            }
-        }
         Self {
             entries: Mutex::new(HashMap::new()),
-            sim: Mutex::new(sim),
+            sim: Mutex::new(Vec::new()),
             memory_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
             store_loads: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            store,
+            store: store_dir.map(|dir| StrategyStore::open(dir, store_capacity)),
         }
     }
 
@@ -249,35 +204,29 @@ impl StrategyCache {
     }
 
     /// Drops every strategy resident in memory — the compiled map and the
-    /// memory-backed similarity entries. Disk-backed similarity entries
-    /// (headers pointing at store files) survive: they hold no factors.
+    /// similarity index.
     pub fn clear(&self) {
         self.entries.lock().expect("cache lock").clear();
-        self.sim
-            .lock()
-            .expect("sim lock")
-            .retain(|e| matches!(e.source, SeedSource::Disk(_)));
+        self.sim.lock().expect("sim lock").clear();
     }
 
     /// Tries to serve a decomposition-backed compile from the strategy
     /// store. Unreadable, corrupt, version-mismatched, or invalid files
     /// are treated as misses — the subsequent compile overwrites them.
-    /// On success returns the decomposition and the stored cold iteration
-    /// count.
     pub fn try_disk_load(
         &self,
         key: &CacheKey,
         workload: &Workload,
         flavor: NoiseFlavor,
-    ) -> Option<(WorkloadDecomposition, StoredHeader)> {
+    ) -> Option<WorkloadDecomposition> {
         let store = self.store.as_ref()?;
         let path = store.path_for(key.0.as_u64(), key.1, key.2);
         if !path.exists() {
             return None;
         }
-        let (dec, header) = store.load_exact(&path, workload, flavor).ok()?;
+        let (dec, _) = store.load_exact(&path, workload, flavor).ok()?;
         self.store_loads.fetch_add(1, Ordering::Relaxed);
-        Some((dec, header))
+        Some(dec)
     }
 
     /// Best-effort persist of freshly computed factors plus their public
@@ -305,19 +254,7 @@ impl StrategyCache {
                 profile: profile.to_vec(),
             };
             let evicted = store.save(&header, decomposition);
-            if evicted > 0 {
-                self.evictions.fetch_add(evicted, Ordering::Relaxed);
-                // Evicted files may back similarity entries; drop the
-                // dangling ones so a nearest-seed query never chases a
-                // deleted path.
-                self.sim
-                    .lock()
-                    .expect("sim lock")
-                    .retain(|e| match &e.source {
-                        SeedSource::Disk(p) => p.exists(),
-                        SeedSource::Memory(_) => true,
-                    });
-            }
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
     }
 
@@ -328,7 +265,6 @@ impl StrategyCache {
         key: &CacheKey,
         workload: &Workload,
         profile: Vec<f64>,
-        cold_iterations: usize,
         decomposition: Arc<WorkloadDecomposition>,
     ) {
         let mut sim = self.sim.lock().expect("sim lock");
@@ -344,25 +280,18 @@ impl StrategyCache {
             n: workload.domain_size(),
             rank: decomposition.rank(),
             fingerprint,
-            cold_iterations,
-            norm: decomposition.norm(),
             profile,
-            source: SeedSource::Memory(decomposition),
+            decomposition,
         });
     }
 
-    /// Nearest cached decomposition usable as a warm-start seed for the
-    /// given compile coordinates, or `None` when nothing is close enough.
-    /// Candidates must match `(kind, structural class, n)` exactly, sit
-    /// within a factor of two of the target rank (when the target is
-    /// known), and measure under the profile-distance threshold.
-    /// Exact-digest candidates always beat cross-digest ones (a different
-    /// γ, or the other noise flavor — the cross-flavor case is what lets
-    /// an L1 neighbor *seed*, never serve, an L2 compile); within each
-    /// group the closest wins. The compile's own `(fingerprint, digest)`
-    /// entry is excluded — that would be an exact hit, not a seed.
-    /// Disk-backed winners are loaded here (and dropped from the index if
-    /// their file has rotted).
+    /// Nearest decomposition in memory usable as a warm-start seed for
+    /// the given compile coordinates, or `None` when nothing is close
+    /// enough. Candidates must match `(kind, options digest, structural
+    /// class, n)` exactly, sit within a factor of two of the target rank
+    /// (when the target is known), and measure under the profile-distance
+    /// threshold; the closest wins. The compile's own workload is
+    /// excluded — that would be an exact hit, not a seed.
     pub fn nearest_seed(
         &self,
         kind: MechanismKind,
@@ -374,72 +303,34 @@ impl StrategyCache {
         let class = workload.op().structure_class();
         let n = workload.domain_size();
         let fingerprint = workload.fingerprint().as_u64();
-        loop {
-            let (info, source_path) = {
-                let sim = self.sim.lock().expect("sim lock");
-                let mut best: Option<(usize, (bool, f64))> = None;
-                for (i, e) in sim.iter().enumerate() {
-                    if e.kind != kind
-                        || e.class != class
-                        || e.n != n
-                        || (e.fingerprint == fingerprint && e.digest == digest)
-                    {
-                        continue;
-                    }
-                    if let Some(r) = target_rank {
-                        if e.rank < r.div_ceil(2) || e.rank > 2 * r {
-                            continue;
-                        }
-                    }
-                    let d = profile_distance(&e.profile, profile);
-                    if d >= SIMILARITY_THRESHOLD {
-                        continue;
-                    }
-                    let rank_key = (e.digest != digest, d);
-                    if best.is_none_or(|(_, bk)| rank_key < bk) {
-                        best = Some((i, rank_key));
-                    }
-                }
-                let (i, (cross_digest, d)) = best?;
-                let e = &sim[i];
-                let info = SeedInfo {
-                    fingerprint: e.fingerprint,
-                    distance: d,
-                    cold_iterations: e.cold_iterations,
-                    cross_digest,
-                    seed_norm: e.norm,
-                };
-                match &e.source {
-                    SeedSource::Memory(dec) => {
-                        return Some((WarmStart::new(dec.b().clone(), dec.l().clone()), info));
-                    }
-                    SeedSource::Disk(path) => (info, path.clone()),
-                }
-            };
-            match self.store.as_ref()?.load_seed(&source_path) {
-                Ok((b, l)) if b.cols() == l.rows() && l.cols() == n => {
-                    self.store_loads.fetch_add(1, Ordering::Relaxed);
-                    return Some((WarmStart::new(b, l), info));
-                }
-                _ => {
-                    // Rotten entry: drop it and rescan for the next best.
-                    self.sim
-                        .lock()
-                        .expect("sim lock")
-                        .retain(|e| !matches!(&e.source, SeedSource::Disk(p) if p == &source_path));
+        let sim = self.sim.lock().expect("sim lock");
+        let mut best: Option<(&SimEntry, f64)> = None;
+        for e in sim.iter() {
+            if e.kind != kind
+                || e.digest != digest
+                || e.class != class
+                || e.n != n
+                || e.fingerprint == fingerprint
+            {
+                continue;
+            }
+            if let Some(r) = target_rank {
+                if e.rank < r.div_ceil(2) || e.rank > 2 * r {
+                    continue;
                 }
             }
+            let d = profile_distance(&e.profile, profile);
+            if d < SIMILARITY_THRESHOLD && best.is_none_or(|(_, bd)| d < bd) {
+                best = Some((e, d));
+            }
         }
-    }
-}
-
-/// Maps a stored class string back to the `&'static str` tags the live
-/// operators report, so disk- and memory-sourced entries compare equal.
-fn intern_class(class: &str) -> &'static str {
-    match class {
-        "sparse" => "sparse",
-        "intervals" => "intervals",
-        _ => "dense",
+        let (e, distance) = best?;
+        let dec = &e.decomposition;
+        let info = SeedInfo {
+            fingerprint: e.fingerprint,
+            distance,
+        };
+        Some((WarmStart::new(dec.b().clone(), dec.l().clone()), info))
     }
 }
 

@@ -126,8 +126,9 @@ impl EngineBuilder {
 
     /// Enables the on-disk strategy store: decomposition-backed strategies
     /// are persisted here (versioned `LRMS` format) and reloaded —
-    /// revalidated exactly, or reused as warm-start seeds for similar
-    /// workloads — instead of recompiled, across processes and restarts.
+    /// revalidated exactly — instead of recompiled, across processes and
+    /// restarts. A reloaded decomposition also seeds warm starts for
+    /// similar workloads, like a freshly compiled one.
     pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self
@@ -141,9 +142,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Finishes the builder. With a spill directory configured, surviving
-    /// store files are header-scanned here to rebuild the similarity
-    /// index, so the first compiles after a restart can already warm-start.
+    /// Finishes the builder.
     pub fn build(self) -> Engine {
         Engine {
             reference_eps: self.reference_eps,
@@ -222,8 +221,7 @@ impl Engine {
     ) -> Result<CompiledMechanism, CoreError> {
         let t0 = Instant::now();
         registry::check_flavor_supported(kind, options.flavor)?;
-        let fingerprint = workload.fingerprint();
-        let key = (fingerprint, kind, options.digest(kind));
+        let key = (workload.fingerprint(), kind, options.digest(kind));
         let flavor = options.flavor;
 
         if let Some(cached) = self.cache.lookup(&key) {
@@ -236,163 +234,66 @@ impl Engine {
                 cached.workload_op.as_ref(),
                 workload.op().as_ref(),
             ) {
-                self.cache.record(CacheOutcome::MemoryHit);
-                return Ok(self.finish(
-                    kind,
-                    flavor,
-                    fingerprint,
-                    CacheOutcome::MemoryHit,
-                    t0,
-                    cached,
-                    None,
-                ));
+                return Ok(self.finish(key, flavor, CacheOutcome::MemoryHit, t0, cached, None));
             }
         }
 
-        if kind.is_decomposition_backed() {
-            let profile = coarse_column_profile(workload.op().as_ref(), PROFILE_BUCKETS);
-
-            if let Some((decomposition, header)) = self.cache.try_disk_load(&key, workload, flavor)
-            {
+        let profile = kind
+            .is_decomposition_backed()
+            .then(|| coarse_column_profile(workload.op().as_ref(), PROFILE_BUCKETS));
+        if let Some(profile) = &profile {
+            if let Some(decomposition) = self.cache.try_disk_load(&key, workload, flavor) {
                 let decomposition = Arc::new(decomposition);
-                self.cache.admit_seed(
-                    &key,
-                    workload,
-                    profile,
-                    header.cold_iterations,
-                    Arc::clone(&decomposition),
-                );
-                let cached = self.admit(
-                    key,
-                    flavor,
-                    workload,
-                    Some(decomposition.rank()),
-                    None,
-                    registry::rebuild_from_decomposition(kind, (*decomposition).clone(), workload),
-                );
-                self.cache.record(CacheOutcome::DiskHit);
-                return Ok(self.finish(
-                    kind,
-                    flavor,
-                    fingerprint,
-                    CacheOutcome::DiskHit,
-                    t0,
-                    cached,
-                    None,
-                ));
+                self.cache
+                    .admit_seed(&key, workload, profile.clone(), Arc::clone(&decomposition));
+                let mechanism =
+                    registry::rebuild_from_decomposition(kind, (*decomposition).clone(), workload);
+                let rank = Some(decomposition.rank());
+                let cached = self.admit(key, flavor, workload, rank, None, mechanism);
+                return Ok(self.finish(key, flavor, CacheOutcome::DiskHit, t0, cached, None));
             }
+        }
 
-            // Exact miss: a similar cached decomposition — same kind,
-            // options, structural class, and domain, with compatible rank
-            // and a close column profile — seeds the solver. The seeded
-            // compile runs the full convergence contract; the seed is
-            // never served directly.
+        // Exact miss: the nearest same-digest decomposition held in memory
+        // — same kind, structural class, and domain, with compatible rank
+        // and a close column profile — seeds the solver. The seeded
+        // compile runs the full convergence contract; the seed is never
+        // served directly.
+        let seed = profile.as_ref().and_then(|profile| {
             let target_rank = match options.decomposition_for(kind).target_rank {
                 crate::decomposition::TargetRank::Exact(r) => Some(r),
                 crate::decomposition::TargetRank::RatioOfRank(_) => None,
             };
-            if let Some((seed, info)) =
-                self.cache
-                    .nearest_seed(kind, key.2, workload, target_rank, &profile)
-            {
-                if let Ok(built) = registry::build_with_seed(kind, workload, options, &seed) {
-                    let dec = built
-                        .decomposition
-                        .expect("decomposition-backed kinds always produce factors");
-                    if dec.stats().warm_started {
-                        let iterations = dec.stats().outer_iterations;
-                        self.cache.persist(&key, workload, &profile, &dec, flavor);
-                        let dec = Arc::new(dec);
-                        self.cache.admit_seed(
-                            &key,
-                            workload,
-                            profile,
-                            iterations,
-                            Arc::clone(&dec),
-                        );
-                        let cached = self.admit(
-                            key,
-                            flavor,
-                            workload,
-                            Some(dec.rank()),
-                            Some(dec.stats()),
-                            built.mechanism,
-                        );
-                        self.cache.record(CacheOutcome::WarmStart);
-                        let provenance = WarmStartProvenance {
-                            seed_fingerprint: info.fingerprint,
-                            profile_distance: info.distance,
-                            seed_iterations: info.cold_iterations,
-                            iterations,
-                            cross_digest: info.cross_digest,
-                            cross_flavor: info.seed_norm != flavor.norm(),
-                        };
-                        return Ok(self.finish(
-                            kind,
-                            flavor,
-                            fingerprint,
-                            CacheOutcome::WarmStart,
-                            t0,
-                            cached,
-                            Some(provenance),
-                        ));
-                    }
-                    // The solver rejected the seed (e.g. ill-conditioned
-                    // factors) and ran cold anyway: report it as a miss.
-                    let iterations = dec.stats().outer_iterations;
-                    self.cache.persist(&key, workload, &profile, &dec, flavor);
-                    let dec = Arc::new(dec);
-                    self.cache
-                        .admit_seed(&key, workload, profile, iterations, Arc::clone(&dec));
-                    let cached = self.admit(
-                        key,
-                        flavor,
-                        workload,
-                        Some(dec.rank()),
-                        Some(dec.stats()),
-                        built.mechanism,
-                    );
-                    self.cache.record(CacheOutcome::Miss);
-                    return Ok(self.finish(
-                        kind,
-                        flavor,
-                        fingerprint,
-                        CacheOutcome::Miss,
-                        t0,
-                        cached,
-                        None,
-                    ));
-                }
-            }
-        }
-
-        let built = registry::build(kind, workload, options)?;
-        if let Some(decomposition) = &built.decomposition {
-            let profile = coarse_column_profile(workload.op().as_ref(), PROFILE_BUCKETS);
-            let iterations = decomposition.stats().outer_iterations;
+            self.cache
+                .nearest_seed(kind, key.2, workload, target_rank, profile)
+        });
+        let built = registry::build(kind, workload, options, seed.as_ref().map(|(s, _)| s))?;
+        // The solver may reject a seed (e.g. ill-conditioned factors) and
+        // run cold anyway: only a compile that started warm is one.
+        let warm_started = built
+            .decomposition
+            .as_ref()
+            .is_some_and(|d| d.stats().warm_started);
+        let (outcome, warm_start) = match seed {
+            Some((_, info)) if warm_started => (
+                CacheOutcome::WarmStart,
+                Some(WarmStartProvenance {
+                    seed_fingerprint: info.fingerprint,
+                    profile_distance: info.distance,
+                }),
+            ),
+            _ => (CacheOutcome::Miss, None),
+        };
+        if let (Some(decomposition), Some(profile)) = (&built.decomposition, profile) {
             self.cache
                 .persist(&key, workload, &profile, decomposition, flavor);
-            self.cache.admit_seed(
-                &key,
-                workload,
-                profile,
-                iterations,
-                Arc::new(decomposition.clone()),
-            );
+            self.cache
+                .admit_seed(&key, workload, profile, Arc::clone(decomposition));
         }
         let rank = built.decomposition.as_ref().map(|d| d.rank());
         let solve = built.decomposition.as_ref().map(|d| d.stats());
         let cached = self.admit(key, flavor, workload, rank, solve, built.mechanism);
-        self.cache.record(CacheOutcome::Miss);
-        Ok(self.finish(
-            kind,
-            flavor,
-            fingerprint,
-            CacheOutcome::Miss,
-            t0,
-            cached,
-            None,
-        ))
+        Ok(self.finish(key, flavor, outcome, t0, cached, warm_start))
     }
 
     /// Builds the cache entry for a freshly compiled (or disk-loaded)
@@ -483,19 +384,18 @@ impl Engine {
         self.compile_best(workload, &MechanismKind::STANDARD_PANEL, &self.defaults)
     }
 
-    // Internal assembly point for every compile path; the argument list
-    // is the full CompileMeta provenance and is not worth a builder.
-    #[allow(clippy::too_many_arguments)]
+    /// The one exit of every compile path: counts the outcome and
+    /// assembles the [`CompileMeta`] provenance.
     fn finish(
         &self,
-        kind: MechanismKind,
+        (fingerprint, kind, _): cache::CacheKey,
         flavor: NoiseFlavor,
-        fingerprint: Fingerprint,
         cache: CacheOutcome,
         t0: Instant,
         cached: CachedStrategy,
         warm_start: Option<WarmStartProvenance>,
     ) -> CompiledMechanism {
+        self.cache.record(cache);
         CompiledMechanism {
             meta: CompileMeta {
                 kind,
@@ -572,8 +472,8 @@ const _: () = {
 };
 
 /// Warm-start provenance: where a [`CacheOutcome::WarmStart`] compile's
-/// seed came from and what it bought. All quantities here are public
-/// (derived from workloads and solver behavior, never from data).
+/// seed came from. All quantities here are public (derived from
+/// workloads, never from data).
 #[derive(Debug, Clone)]
 pub struct WarmStartProvenance {
     /// Raw fingerprint of the workload whose decomposition seeded this
@@ -581,28 +481,6 @@ pub struct WarmStartProvenance {
     pub seed_fingerprint: u64,
     /// L1 distance between the two coarse column profiles (0 = identical).
     pub profile_distance: f64,
-    /// Outer ALM iterations the *seed's* compile took — the baseline the
-    /// savings are quoted against.
-    pub seed_iterations: usize,
-    /// Outer ALM iterations the seeded compile took.
-    pub iterations: usize,
-    /// The seed came from a different options digest (e.g. another γ, or
-    /// the other noise flavor). Exact-digest seeds are always preferred,
-    /// so this is only ever `true` when no exact-digest neighbor existed.
-    pub cross_digest: bool,
-    /// The seed's factors were optimized under the other sensitivity norm
-    /// (an L1 neighbor seeding an L2 compile, or vice versa). The solver
-    /// re-projected them onto this compile's feasible set and re-converged
-    /// under the full contract — seeds cross flavors, strategies never do.
-    pub cross_flavor: bool,
-}
-
-impl WarmStartProvenance {
-    /// Iterations the warm start saved relative to the seed's compile
-    /// (saturating: a warm run slower than its seed's reports 0).
-    pub fn iterations_saved(&self) -> usize {
-        self.seed_iterations.saturating_sub(self.iterations)
-    }
 }
 
 /// Structured metadata attached to every [`Engine::compile`] result.
@@ -861,13 +739,10 @@ mod tests {
         let mut opts = CompileOptions::default();
         opts.decomposition.gamma = 0.5;
         let other = engine.compile(&w, MechanismKind::Lrm, &opts).unwrap();
-        // A different digest is a different cache entry — but the first
-        // compile's decomposition is close enough to seed it, so the
-        // second full solve starts warm (cross-digest, same flavor).
-        assert_eq!(other.meta().cache, CacheOutcome::WarmStart);
-        let prov = other.meta().warm_start.as_ref().unwrap();
-        assert!(prov.cross_digest);
-        assert!(!prov.cross_flavor);
+        // A different digest is a different cache entry, and seeds never
+        // cross digests: the second full solve runs cold.
+        assert_eq!(other.meta().cache, CacheOutcome::Miss);
+        assert!(other.meta().warm_start.is_none());
         assert_eq!(engine.cache_stats().entries, 2);
 
         // Repeats of both option sets are exact memory hits.
@@ -886,6 +761,9 @@ mod tests {
 
         let opts = CompileOptions::with_flavor(NoiseFlavor::ApproxDp);
         let approx = engine.compile(&w, MechanismKind::Lrm, &opts).unwrap();
+        // The pure decomposition does not even seed it: each flavor has
+        // its own options digest.
+        assert_eq!(approx.meta().cache, CacheOutcome::Miss);
         assert_eq!(approx.meta().flavor, NoiseFlavor::ApproxDp);
         assert_eq!(approx.meta().label, "LRM-G");
         assert!(approx.meta().reference_delta > 0.0);
@@ -906,25 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn pure_neighbor_seeds_an_approx_compile_across_flavors() {
-        let engine = Engine::builder().build();
-        let w = panel(64, 15);
-        let first = engine.compile_default(&w, MechanismKind::Lrm).unwrap();
-        assert_eq!(first.meta().cache, CacheOutcome::Miss);
-
-        // Same workload, other flavor: no exact entry, no exact-digest
-        // neighbor — the pure decomposition seeds the L2 solve.
-        let opts = CompileOptions::with_flavor(NoiseFlavor::ApproxDp);
-        let approx = engine.compile(&w, MechanismKind::Lrm, &opts).unwrap();
-        assert_eq!(approx.meta().cache, CacheOutcome::WarmStart);
-        let prov = approx.meta().warm_start.as_ref().unwrap();
-        assert!(prov.cross_digest);
-        assert!(prov.cross_flavor, "an L1 seed into an L2 compile");
-        assert_eq!(prov.seed_fingerprint, w.fingerprint().as_u64());
-        assert_eq!(approx.meta().label, "LRM-G");
-    }
-
-    #[test]
     fn approx_compile_of_unsupported_kind_is_a_typed_error() {
         let engine = Engine::builder().build();
         let w = workload();
@@ -938,7 +797,7 @@ mod tests {
     }
 
     #[test]
-    fn pure_store_dir_warm_starts_but_never_serves_an_approx_compile() {
+    fn pure_store_dir_never_serves_an_approx_compile() {
         let dir = std::env::temp_dir().join(format!("lrm_engine_xflavor_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let w = panel(64, 15);
@@ -951,13 +810,11 @@ mod tests {
         // A fresh engine asked for the approximate flavor of the SAME
         // workload: the stored pure entry must not disk-hit (different
         // digest ⇒ different path; and load_exact would reject the flavor
-        // anyway), but its header seeds the L2 solve from disk.
+        // anyway), so the L2 solve runs cold.
         let engine2 = Engine::builder().spill_dir(&dir).build();
         let opts = CompileOptions::with_flavor(NoiseFlavor::ApproxDp);
         let approx = engine2.compile(&w, MechanismKind::Lrm, &opts).unwrap();
-        assert_eq!(approx.meta().cache, CacheOutcome::WarmStart);
-        let prov = approx.meta().warm_start.as_ref().unwrap();
-        assert!(prov.cross_flavor);
+        assert_eq!(approx.meta().cache, CacheOutcome::Miss);
         assert_eq!(engine2.cache_stats().disk_hits, 0);
 
         // The pure entry still disk-hits for pure requests.
@@ -1056,7 +913,6 @@ mod tests {
         let prov = second.meta().warm_start.as_ref().expect("provenance");
         assert_eq!(prov.seed_fingerprint, wa.fingerprint().as_u64());
         assert!(prov.profile_distance < 0.5);
-        assert_eq!(Some(prov.iterations), second.meta().alm_iterations);
 
         // Seeding only: the warm compile produced a *new* strategy for
         // wb's own queries, not the cached strategy for wa.
@@ -1097,24 +953,83 @@ mod tests {
         engine.compile_default(&wa, MechanismKind::Lrm).unwrap();
         drop(engine);
 
-        // A fresh process: the header scan alone rebuilds the index, so
-        // the near-duplicate warm-starts from the store without wa ever
-        // being compiled here…
+        // A fresh process reloads wa with zero recompiles…
         let engine2 = Engine::builder().spill_dir(&dir).build();
+        let reloaded = engine2.compile_default(&wa, MechanismKind::Lrm).unwrap();
+        assert_eq!(reloaded.meta().cache, CacheOutcome::DiskHit);
+        assert_eq!(engine2.cache_stats().misses, 0);
+
+        // …and the reloaded decomposition seeds wb's near-duplicate.
         let warmed = engine2.compile_default(&wb, MechanismKind::Lrm).unwrap();
         assert_eq!(warmed.meta().cache, CacheOutcome::WarmStart);
         assert_eq!(
             warmed.meta().warm_start.as_ref().unwrap().seed_fingerprint,
             wa.fingerprint().as_u64()
         );
-        assert!(engine2.cache_stats().store_loads >= 1);
 
-        // …and the exact workload reloads with zero recompiles.
-        let reloaded = engine2.compile_default(&wa, MechanismKind::Lrm).unwrap();
-        assert_eq!(reloaded.meta().cache, CacheOutcome::DiskHit);
-        assert_eq!(engine2.cache_stats().misses, 0);
+        // A restarted engine that has not hit wa holds no seed for wb.
+        let engine3 = Engine::builder().spill_dir(&dir).build();
+        let wc = panel(64, 17);
+        let cold = engine3.compile_default(&wc, MechanismKind::Lrm).unwrap();
+        assert_eq!(cold.meta().cache, CacheOutcome::Miss);
 
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_refused_seed_compiles_as_a_miss() {
+        // A dense workload with no repeated columns (k = n), and a
+        // neighbour with the same column profile.
+        let w = WRelated { base_queries: 4 }
+            .generate(12, 16, &mut StdRng::seed_from_u64(12))
+            .unwrap();
+        let dense = w.matrix();
+        let rows: Vec<&[f64]> = (0..dense.rows()).rev().map(|i| dense.row(i)).collect();
+        let neighbour = Workload::from_rows(&rows).unwrap();
+
+        // The only seed is w's decomposition with every row of L but the
+        // first shrunk 10⁹×: its refit costs more than Lemma 3, so the
+        // solver refuses it.
+        let engine = Engine::builder().build();
+        let good = crate::decomposition::WorkloadDecomposition::compute(
+            &w,
+            &engine.default_options().decomposition,
+        )
+        .unwrap();
+        let mut weak = good.l().clone();
+        for i in 1..weak.rows() {
+            let row: Vec<f64> = weak.row(i).iter().map(|v| v * 1e-9).collect();
+            weak.set_row(i, &row);
+        }
+        let residual = crate::decomposition::residual_of(w.op().as_ref(), good.b(), &weak);
+        let dead = crate::decomposition::WorkloadDecomposition::from_parts_with_norm(
+            good.b().clone(),
+            weak,
+            residual,
+            lrm_dp::SensitivityNorm::L1,
+        );
+        let key = (
+            neighbour.fingerprint(),
+            MechanismKind::Lrm,
+            engine.default_options().digest(MechanismKind::Lrm),
+        );
+        let profile = coarse_column_profile(neighbour.op().as_ref(), PROFILE_BUCKETS);
+        engine
+            .cache
+            .admit_seed(&key, &neighbour, profile.clone(), Arc::new(dead));
+        let (_, info) = engine
+            .cache
+            .nearest_seed(MechanismKind::Lrm, key.2, &w, None, &profile)
+            .expect("the near-dead decomposition is w's nearest seed");
+        assert_eq!(info.fingerprint, neighbour.fingerprint().as_u64());
+
+        let before = engine.cache_stats();
+        let compiled = engine.compile_default(&w, MechanismKind::Lrm).unwrap();
+        assert_eq!(compiled.meta().cache, CacheOutcome::Miss);
+        assert!(compiled.meta().warm_start.is_none());
+        let after = engine.cache_stats();
+        assert_eq!(after.misses, before.misses + 1);
+        assert_eq!(after.warm_hits, before.warm_hits);
     }
 
     #[test]

@@ -316,10 +316,10 @@ impl CompileOptions {
 }
 
 /// A freshly built strategy plus, for decomposition-backed kinds, the
-/// factors worth spilling to disk.
+/// factors worth spilling to disk and seeding warm starts from.
 pub(crate) struct Built {
     pub mechanism: Arc<dyn Mechanism + Send + Sync>,
-    pub decomposition: Option<WorkloadDecomposition>,
+    pub decomposition: Option<Arc<WorkloadDecomposition>>,
 }
 
 /// Typed rejection for kinds with no Gaussian calibration.
@@ -336,85 +336,46 @@ pub(crate) fn check_flavor_supported(
     Ok(())
 }
 
-/// Compiles `kind` from scratch (no cache involvement).
+/// Compiles `kind` (no cache involvement). A decomposition-backed kind
+/// starts Algorithm 1 from `seed` when one is given, instead of the
+/// Lemma 3 cold initializer; the convergence contract is the same either
+/// way — only the starting point differs — so the result is a
+/// full-fledged strategy, never a shortcut. Other kinds ignore `seed`.
 pub(crate) fn build(
     kind: MechanismKind,
     workload: &Workload,
     options: &CompileOptions,
+    seed: Option<&lrm_opt::WarmStart>,
 ) -> Result<Built, CoreError> {
     check_flavor_supported(kind, options.flavor)?;
-    let built = match kind {
-        MechanismKind::Lrm | MechanismKind::LrmRelaxed => {
-            let cfg = options.decomposition_for(kind);
-            let mech = LowRankMechanism::compile_flavored(workload, &cfg, options.flavor.norm())?;
-            let dec = mech.decomposition().clone();
-            Built {
-                mechanism: Arc::new(mech),
-                decomposition: Some(dec),
-            }
-        }
-        MechanismKind::DataAware => {
-            let mech = CompensatedLowRankMechanism::compile(workload, &options.decomposition)?;
-            let dec = mech.decomposition().clone();
-            Built {
-                mechanism: Arc::new(mech),
-                decomposition: Some(dec),
-            }
-        }
-        MechanismKind::Laplace | MechanismKind::Nod => Built {
-            mechanism: match options.flavor {
-                NoiseFlavor::PureDp => Arc::new(NoiseOnData::compile(workload)),
-                NoiseFlavor::ApproxDp => Arc::new(GaussianNoiseOnData::compile(workload)),
-            },
-            decomposition: None,
-        },
-        MechanismKind::Nor => Built {
-            mechanism: Arc::new(NoiseOnResults::compile(workload)),
-            decomposition: None,
-        },
-        MechanismKind::MatrixMechanism => Built {
-            mechanism: Arc::new(MatrixMechanism::compile(
+    let mechanism: Arc<dyn Mechanism + Send + Sync> = match kind {
+        MechanismKind::Lrm | MechanismKind::LrmRelaxed | MechanismKind::DataAware => {
+            let dec = WorkloadDecomposition::compute_with_init_flavored(
                 workload,
-                &options.matrix_mechanism,
-            )?),
-            decomposition: None,
+                &options.decomposition_for(kind),
+                options.flavor.norm(),
+                seed,
+            )?;
+            return Ok(Built {
+                mechanism: rebuild_from_decomposition(kind, dec.clone(), workload),
+                decomposition: Some(Arc::new(dec)),
+            });
+        }
+        MechanismKind::Laplace | MechanismKind::Nod => match options.flavor {
+            NoiseFlavor::PureDp => Arc::new(NoiseOnData::compile(workload)),
+            NoiseFlavor::ApproxDp => Arc::new(GaussianNoiseOnData::compile(workload)),
         },
-        MechanismKind::Wavelet => Built {
-            mechanism: Arc::new(WaveletMechanism::compile(workload)),
-            decomposition: None,
-        },
-        MechanismKind::Hierarchical => Built {
-            mechanism: Arc::new(HierarchicalMechanism::compile(workload)),
-            decomposition: None,
-        },
+        MechanismKind::Nor => Arc::new(NoiseOnResults::compile(workload)),
+        MechanismKind::MatrixMechanism => Arc::new(MatrixMechanism::compile(
+            workload,
+            &options.matrix_mechanism,
+        )?),
+        MechanismKind::Wavelet => Arc::new(WaveletMechanism::compile(workload)),
+        MechanismKind::Hierarchical => Arc::new(HierarchicalMechanism::compile(workload)),
     };
-    Ok(built)
-}
-
-/// Compiles a decomposition-backed `kind` seeded by a warm start from a
-/// similar cached strategy, instead of the Lemma 3 cold initializer. The
-/// convergence contract is identical to [`build`] — only the starting
-/// point differs — so the result is a full-fledged strategy, never a
-/// shortcut.
-pub(crate) fn build_with_seed(
-    kind: MechanismKind,
-    workload: &Workload,
-    options: &CompileOptions,
-    seed: &lrm_opt::WarmStart,
-) -> Result<Built, CoreError> {
-    debug_assert!(kind.is_decomposition_backed());
-    check_flavor_supported(kind, options.flavor)?;
-    let cfg = options.decomposition_for(kind);
-    let dec = WorkloadDecomposition::compute_with_init_flavored(
-        workload,
-        &cfg,
-        options.flavor.norm(),
-        Some(seed),
-    )?;
-    let mechanism = rebuild_from_decomposition(kind, dec.clone(), workload);
     Ok(Built {
         mechanism,
-        decomposition: Some(dec),
+        decomposition: None,
     })
 }
 
@@ -532,7 +493,7 @@ mod tests {
             MechanismKind::Laplace,
             MechanismKind::Nod,
         ] {
-            let built = build(kind, &w, &opts).unwrap();
+            let built = build(kind, &w, &opts, None).unwrap();
             let mut rng = lrm_dp::rng::derive_rng(8, 9);
             // Pure release rejected, budgeted release works.
             assert!(built
@@ -545,8 +506,8 @@ mod tests {
             assert!(err.is_finite() && err > 0.0, "{kind}: {err}");
         }
         // Unsupported kinds are a typed error, not a silent pure fallback.
-        assert!(build(MechanismKind::Wavelet, &w, &opts).is_err());
-        assert!(build(MechanismKind::DataAware, &w, &opts).is_err());
+        assert!(build(MechanismKind::Wavelet, &w, &opts, None).is_err());
+        assert!(build(MechanismKind::DataAware, &w, &opts, None).is_err());
     }
 
     #[test]
@@ -558,7 +519,7 @@ mod tests {
         let eps = lrm_dp::Epsilon::new(1.0).unwrap();
         let x: Vec<f64> = (0..8).map(|i| i as f64).collect();
         for kind in MechanismKind::ALL {
-            let built = build(kind, &w, &opts).unwrap();
+            let built = build(kind, &w, &opts, None).unwrap();
             assert_eq!(
                 built.decomposition.is_some(),
                 kind.is_decomposition_backed(),

@@ -2,13 +2,11 @@
 //!
 //! The engine's original disk layer was a bare spill of `(B, L)` factors.
 //! The store promotes it into a first-class artifact: every file carries a
-//! versioned header with enough public metadata — workload fingerprint,
-//! mechanism kind, options digest, shapes, rank, structural class, coarse
-//! column profile, and the iteration count of the compile that produced it
-//! — that a fresh process can rebuild the *similarity index* from a
-//! header-only scan, without deserializing a single factor matrix. Exact
-//! hits then lazily load and revalidate factors; near misses lazily load
-//! factors as warm-start seeds.
+//! versioned header of public metadata — workload fingerprint, mechanism
+//! kind, noise flavor, options digest, shapes, rank, structural class,
+//! coarse column profile, and the iteration count of the compile that
+//! produced it. Exact hits load and revalidate the factors; a loaded
+//! decomposition then seeds warm starts like a freshly compiled one.
 //!
 //! Trust model: nothing loaded from disk is served without
 //! revalidation. Shapes must fit the live workload, the sensitivity
@@ -77,8 +75,8 @@ impl std::fmt::Display for StoreError {
     }
 }
 
-/// The header of one stored strategy — everything the similarity index
-/// needs, with the factor matrices left on disk.
+/// The header of one stored strategy: the public coordinates of the
+/// factors that follow it.
 #[derive(Debug, Clone)]
 pub(crate) struct StoredHeader {
     pub fingerprint: u64,
@@ -91,8 +89,7 @@ pub(crate) struct StoredHeader {
     pub m: usize,
     pub n: usize,
     pub rank: usize,
-    /// Outer ALM iterations of the compile that produced this entry — the
-    /// baseline a warm start's savings are quoted against.
+    /// Outer ALM iterations of the compile that produced this entry.
     pub cold_iterations: usize,
     pub profile: Vec<f64>,
 }
@@ -120,27 +117,6 @@ impl StrategyStore {
             "{fingerprint:016x}-{:02x}-{digest:016x}.lrms",
             kind.store_tag()
         ))
-    }
-
-    /// Header-only scan of every readable `LRMS` file — what a restarted
-    /// engine rebuilds its similarity index from. Unreadable, corrupt, or
-    /// version-mismatched files are skipped, not errors: the store is a
-    /// cache, and the worst case is a cold compile.
-    pub fn scan(&self) -> Vec<(StoredHeader, PathBuf)> {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut found = Vec::new();
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("lrms") {
-                continue;
-            }
-            if let Ok(header) = read_header_only(&path) {
-                found.push((header, path));
-            }
-        }
-        found
     }
 
     /// Loads and revalidates the factors behind `path` for serving:
@@ -196,31 +172,6 @@ impl StrategyStore {
             WorkloadDecomposition::from_parts_with_norm(b, l, residual, norm),
             header,
         ))
-    }
-
-    /// Loads the factors behind `path` as a warm-start *seed*: only basic
-    /// well-formedness is checked here, because a seed is never served —
-    /// the solver re-projects, refits, and re-converges under the full
-    /// contract regardless of what the seed contains.
-    pub fn load_seed(&self, path: &Path) -> Result<(Matrix, Matrix), StoreError> {
-        let file = File::open(path)?;
-        let mut input = BufReader::new(file);
-        let _header = read_header(&mut input)?;
-        let b = Matrix::read_binary(&mut input)
-            .map_err(|e| StoreError::Invalid(format!("bad B block: {e}")))?;
-        let l = Matrix::read_binary(&mut input)
-            .map_err(|e| StoreError::Invalid(format!("bad L block: {e}")))?;
-        if b.cols() != l.rows() {
-            return Err(StoreError::Invalid(
-                "stored factors do not share an inner dimension".into(),
-            ));
-        }
-        if b.as_slice().iter().any(|x| !x.is_finite())
-            || l.as_slice().iter().any(|x| !x.is_finite())
-        {
-            return Err(StoreError::Invalid("stored factors are not finite".into()));
-        }
-        Ok((b, l))
     }
 
     /// Best-effort save. Returns the number of old entries evicted to stay
@@ -377,12 +328,6 @@ fn read_header(input: &mut impl Read) -> Result<StoredHeader, StoreError> {
     })
 }
 
-fn read_header_only(path: &Path) -> Result<StoredHeader, StoreError> {
-    let file = File::open(path)?;
-    let mut input = BufReader::new(file);
-    read_header(&mut input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,27 +386,64 @@ mod tests {
     }
 
     #[test]
-    fn header_round_trips_through_scan() {
-        let dir = tmp("scan");
+    fn header_round_trips_through_load_exact() {
+        let dir = tmp("round_trip");
         let store = StrategyStore::open(dir.clone(), 16);
-        let (_, d, header) = sample();
+        let (w, d, header) = sample();
         assert_eq!(store.save(&header, &d), 0);
 
-        let scanned = store.scan();
-        assert_eq!(scanned.len(), 1);
-        let (h, path) = &scanned[0];
+        let path = store.path_for(header.fingerprint, header.kind, header.digest);
+        let (_, h) = store.load_exact(&path, &w, NoiseFlavor::PureDp).unwrap();
         assert_eq!(h.fingerprint, header.fingerprint);
         assert_eq!(h.digest, header.digest);
         assert_eq!(h.kind, MechanismKind::Lrm);
+        assert_eq!(h.flavor, NoiseFlavor::PureDp);
         assert_eq!(h.class, "dense");
         assert_eq!((h.m, h.n, h.rank), (header.m, header.n, header.rank));
         assert_eq!(h.cold_iterations, header.cold_iterations);
         assert_eq!(h.profile, header.profile);
-        assert_eq!(
-            path,
-            &store.path_for(header.fingerprint, header.kind, header.digest)
-        );
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// The LRMS v2 header layout, byte for byte: stores written by other
+    /// releases must keep loading.
+    #[test]
+    fn write_header_matches_the_v2_golden_bytes() {
+        let header = StoredHeader {
+            fingerprint: 0x0102_0304_0506_0708,
+            digest: 0xA1A2_A3A4_A5A6_A7A8,
+            kind: MechanismKind::LrmRelaxed,
+            flavor: NoiseFlavor::ApproxDp,
+            class: "sparse".into(),
+            m: 3,
+            n: 258,
+            rank: 2,
+            cold_iterations: 41,
+            profile: vec![0.5, -2.0],
+        };
+        let mut bytes = Vec::new();
+        write_header(&mut bytes, &header).unwrap();
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            b'L', b'R', b'M', b'S',
+            2, 0, 0, 0,
+            0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+            0xA8, 0xA7, 0xA6, 0xA5, 0xA4, 0xA3, 0xA2, 0xA1,
+            2, // kind: LRM-γ
+            1, // flavor: approximate
+            6, b's', b'p', b'a', b'r', b's', b'e',
+            3, 0, 0, 0, 0, 0, 0, 0,
+            2, 1, 0, 0, 0, 0, 0, 0,
+            2, 0, 0, 0, 0, 0, 0, 0,
+            41, 0, 0, 0, 0, 0, 0, 0,
+            2, 0,
+            0, 0, 0, 0, 0, 0, 0xE0, 0x3F, // 0.5
+            0, 0, 0, 0, 0, 0, 0x00, 0xC0, // -2.0
+        ];
+        assert_eq!(bytes, golden);
+        let read = read_header(&mut bytes.as_slice()).unwrap();
+        assert_eq!(read.digest, header.digest);
+        assert_eq!(read.profile, header.profile);
     }
 
     #[test]
@@ -477,8 +459,7 @@ mod tests {
         assert_eq!(h.cold_iterations, header.cold_iterations);
         assert!((loaded.stats().residual - d.stats().residual).abs() < 1e-9);
 
-        // Bump the on-disk version: the rejection is typed, and the scan
-        // skips the file instead of erroring.
+        // Bump the on-disk version: the rejection is typed.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[4] = 99;
         std::fs::write(&path, &bytes).unwrap();
@@ -486,7 +467,6 @@ mod tests {
             Err(StoreError::VersionMismatch { found: 99 }) => {}
             other => panic!("expected a version mismatch, got {other:?}"),
         }
-        assert!(store.scan().is_empty());
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -498,15 +478,11 @@ mod tests {
         let path = store.path_for(header.fingerprint, header.kind, header.digest);
         write_v1_file(&path, &header, &d);
 
-        // The header-only scan sees the v1 entry as a pure strategy.
-        let scanned = store.scan();
-        assert_eq!(scanned.len(), 1);
-        assert_eq!(scanned[0].0.flavor, NoiseFlavor::PureDp);
-        assert_eq!(scanned[0].0.fingerprint, header.fingerprint);
-
-        // It keeps serving pure requests…
+        // The v1 entry reads back as a pure strategy and keeps serving
+        // pure requests…
         let (loaded, h) = store.load_exact(&path, &w, NoiseFlavor::PureDp).unwrap();
         assert_eq!(h.flavor, NoiseFlavor::PureDp);
+        assert_eq!(h.fingerprint, header.fingerprint);
         assert_eq!(loaded.norm(), SensitivityNorm::L1);
 
         // …and is a typed rejection for an approximate request.
@@ -516,9 +492,6 @@ mod tests {
             }
             other => panic!("expected a flavor rejection, got {other:?}"),
         }
-        // Seeds are flavor-agnostic: the factors are still usable as a
-        // warm start for an L2 compile.
-        assert!(store.load_seed(&path).is_ok());
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -550,9 +523,6 @@ mod tests {
         store.save(&header, &d);
         let path = store.path_for(header.fingerprint, header.kind, header.digest);
 
-        let scanned = store.scan();
-        assert_eq!(scanned[0].0.flavor, NoiseFlavor::ApproxDp);
-
         let (loaded, h) = store.load_exact(&path, &w, NoiseFlavor::ApproxDp).unwrap();
         assert_eq!(h.flavor, NoiseFlavor::ApproxDp);
         assert_eq!(loaded.norm(), SensitivityNorm::L2);
@@ -579,22 +549,11 @@ mod tests {
             evicted_total += store.save(&h, &d);
         }
         assert_eq!(evicted_total, 2);
-        let left: Vec<u64> = store.scan().iter().map(|(h, _)| h.fingerprint).collect();
+        let left: Vec<u64> = (0..4u64)
+            .filter(|&i| store.path_for(i, header.kind, header.digest).exists())
+            .collect();
         assert_eq!(left.len(), 2);
         assert!(left.contains(&3), "newest entry must survive, got {left:?}");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn seed_load_checks_only_well_formedness() {
-        let dir = tmp("seed");
-        let store = StrategyStore::open(dir.clone(), 16);
-        let (_, d, header) = sample();
-        store.save(&header, &d);
-        let path = store.path_for(header.fingerprint, header.kind, header.digest);
-        let (b, l) = store.load_seed(&path).unwrap();
-        assert_eq!(b.cols(), l.rows());
-        assert_eq!(l.cols(), 12);
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -4,6 +4,7 @@
 //! solver guarantees.
 
 use lrm_core::decomposition::{DecompositionConfig, TargetRank, WorkloadDecomposition};
+use lrm_dp::SensitivityNorm;
 use lrm_opt::WarmStart;
 use lrm_workload::Workload;
 use proptest::prelude::*;
@@ -65,7 +66,7 @@ proptest! {
 
         let cold = WorkloadDecomposition::compute(&wb, &cfg).unwrap();
         let seed = WarmStart::new(seed_dec.b().clone(), seed_dec.l().clone());
-        let warm = WorkloadDecomposition::compute_with_init(&wb, &cfg, Some(&seed)).unwrap();
+        let warm = WorkloadDecomposition::compute_with_init_flavored(&wb, &cfg, SensitivityNorm::L1, Some(&seed)).unwrap();
 
         // Identical feasibility contract, identical sensitivity bound.
         prop_assert!(warm.sensitivity() <= 1.0 + 1e-9);
@@ -100,7 +101,7 @@ proptest! {
             target_rank: TargetRank::Exact(target),
             ..config()
         };
-        let warm = WorkloadDecomposition::compute_with_init(&w, &cfg_r, Some(&seed)).unwrap();
+        let warm = WorkloadDecomposition::compute_with_init_flavored(&w, &cfg_r, SensitivityNorm::L1, Some(&seed)).unwrap();
         prop_assert_eq!(warm.rank(), target);
         prop_assert!(warm.sensitivity() <= 1.0 + 1e-9);
         prop_assert!(warm.stats().residual.is_finite());

@@ -14,7 +14,8 @@
 //! cold baseline (median reduction ≥ 30%), (b) a restarted engine over
 //! the same strategy store answers the whole prior working set with
 //! **zero** full recompiles (exact disk hits only) and warm-starts a
-//! shape it has never seen from a store-loaded seed, and (c) a restarted
+//! shape it has never seen from a decomposition those disk hits
+//! reloaded, and (c) a restarted
 //! *server* replays the working set end to end with zero engine cache
 //! misses.
 

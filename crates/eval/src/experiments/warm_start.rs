@@ -18,7 +18,7 @@
 //!    directory recompiles the whole working set: every shape must come
 //!    back as an exact disk hit (zero ALM iterations, zero full
 //!    recompiles), and a *new* near-duplicate must warm-start from a
-//!    store-loaded seed.
+//!    decomposition those disk hits reloaded.
 //! 4. **restarted server** — a fresh `lrm-server` over a fresh engine on
 //!    the same store answers the prior working set end to end (with the
 //!    background compile farm on): the report must show zero cache

@@ -219,9 +219,8 @@ mod tests {
 
     #[test]
     fn l1_seed_carries_into_l2_untouched() {
-        // An L1-feasible seed is automatically L2-feasible, so the
-        // cross-flavor reprojection should keep its values exactly —
-        // this is what makes cross-flavor seeding worthwhile.
+        // An L1-feasible seed is automatically L2-feasible, so the L2
+        // reprojection keeps its values exactly.
         let s = seed(5, 3, 8);
         let l1_out = s.reproject_l(3);
         let carried = WarmStart::new(Matrix::filled(5, 3, 1.0), l1_out.clone());

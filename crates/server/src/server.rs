@@ -1010,8 +1010,6 @@ impl Server {
             if let Some(warm) = &meta.warm_start {
                 compile_span.record("warm_seed_fingerprint", warm.seed_fingerprint);
                 compile_span.record("warm_profile_distance", warm.profile_distance);
-                compile_span.record("warm_iterations_saved", warm.iterations_saved());
-                compile_span.record("warm_cross_flavor", warm.cross_flavor);
             }
         }
         drop(compile_span);

@@ -60,8 +60,6 @@ const ALLOWED_KEYS: &[&str] = &[
     "solved_cols",
     "warm_seed_fingerprint",
     "warm_profile_distance",
-    "warm_iterations_saved",
-    "warm_cross_flavor",
     // solver telemetry
     "outer",
     "tau",
