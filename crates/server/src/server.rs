@@ -116,6 +116,11 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+/// Sliding window over which per-tenant budget burn rates are measured;
+/// the [`ServerReport`]'s [`telemetry`](ServerReport::telemetry) quotes
+/// each tenant's ε/δ spend per second over it.
+const BURN_WINDOW: Duration = Duration::from_secs(10);
+
 /// Builder for [`Server`].
 #[derive(Debug)]
 pub struct ServerBuilder {
@@ -137,7 +142,6 @@ pub struct ServerBuilder {
     max_queue_depth: Option<usize>,
     worker_panic_budget: u64,
     coalesce_across_eps: bool,
-    burn_window: Duration,
 }
 
 impl ServerBuilder {
@@ -168,7 +172,6 @@ impl ServerBuilder {
             max_queue_depth: None,
             worker_panic_budget: 8,
             coalesce_across_eps: true,
-            burn_window: Duration::from_secs(10),
         }
     }
 
@@ -342,16 +345,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Sliding window over which per-tenant budget burn rates are
-    /// measured (default 10 s). The [`ServerReport`]'s
-    /// [`telemetry`](ServerReport::telemetry) quotes each tenant's
-    /// ε/δ spend per second over this window plus the time-to-exhaustion
-    /// that rate implies.
-    pub fn burn_window(mut self, window: Duration) -> Self {
-        self.burn_window = window;
-        self
-    }
-
     /// Validates and finishes the builder.
     pub fn build(self) -> Result<Server, ServerError> {
         if self.data.len() != self.schema.domain_size() {
@@ -423,7 +416,7 @@ impl ServerBuilder {
             worker_panic_budget: self.worker_panic_budget,
             coalesce_across_eps: self.coalesce_across_eps,
             tenants: TenantLedgers::new(self.state_dir.as_ref().map(|d| d.join("ledgers"))),
-            burn: BurnTracker::new(self.burn_window),
+            burn: BurnTracker::new(BURN_WINDOW),
             state_dir: self.state_dir,
             quarantine: RwLock::new(HashSet::new()),
             batch_counter: AtomicU64::new(batch_start),
@@ -1810,8 +1803,8 @@ pub struct ServerReport {
     /// The shared engine's compiled-strategy cache counters.
     pub cache: CacheStats,
     /// Per-tenant burn-rate telemetry: ε/δ spend per second over the
-    /// [burn window](ServerBuilder::burn_window) and the estimated
-    /// time-to-exhaustion that rate implies.
+    /// trailing 10 s and the estimated time-to-exhaustion that rate
+    /// implies.
     pub telemetry: Vec<TenantTelemetry>,
     /// Per-tenant budget positions at shutdown.
     pub tenants: Vec<TenantSpend>,
