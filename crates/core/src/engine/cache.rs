@@ -30,6 +30,7 @@
 use crate::decomposition::WorkloadDecomposition;
 use crate::engine::registry::{MechanismKind, NoiseFlavor};
 use crate::engine::store::{StoredHeader, StrategyStore};
+use crate::engine::WarmStartProvenance;
 use crate::mechanism::Mechanism;
 use lrm_linalg::operator::profile_distance;
 use lrm_opt::WarmStart;
@@ -125,14 +126,6 @@ struct SimEntry {
     fingerprint: u64,
     profile: Vec<f64>,
     decomposition: Arc<WorkloadDecomposition>,
-}
-
-/// What the similarity index reports about a winning seed — surfaced as
-/// warm-start provenance in [`CompileMeta`](super::CompileMeta).
-#[derive(Debug, Clone)]
-pub(crate) struct SeedInfo {
-    pub fingerprint: u64,
-    pub distance: f64,
 }
 
 pub(crate) struct StrategyCache {
@@ -299,7 +292,7 @@ impl StrategyCache {
         workload: &Workload,
         target_rank: Option<usize>,
         profile: &[f64],
-    ) -> Option<(WarmStart, SeedInfo)> {
+    ) -> Option<(WarmStart, WarmStartProvenance)> {
         let class = workload.op().structure_class();
         let n = workload.domain_size();
         let fingerprint = workload.fingerprint().as_u64();
@@ -324,13 +317,13 @@ impl StrategyCache {
                 best = Some((e, d));
             }
         }
-        let (e, distance) = best?;
+        let (e, profile_distance) = best?;
         let dec = &e.decomposition;
-        let info = SeedInfo {
-            fingerprint: e.fingerprint,
-            distance,
+        let provenance = WarmStartProvenance {
+            seed_fingerprint: e.fingerprint,
+            profile_distance,
         };
-        Some((WarmStart::new(dec.b().clone(), dec.l().clone()), info))
+        Some((WarmStart::new(dec.b().clone(), dec.l().clone()), provenance))
     }
 }
 

@@ -275,13 +275,7 @@ impl Engine {
             .as_ref()
             .is_some_and(|d| d.stats().warm_started);
         let (outcome, warm_start) = match seed {
-            Some((_, info)) if warm_started => (
-                CacheOutcome::WarmStart,
-                Some(WarmStartProvenance {
-                    seed_fingerprint: info.fingerprint,
-                    profile_distance: info.distance,
-                }),
-            ),
+            Some((_, provenance)) if warm_started => (CacheOutcome::WarmStart, Some(provenance)),
             _ => (CacheOutcome::Miss, None),
         };
         if let (Some(decomposition), Some(profile)) = (&built.decomposition, profile) {
@@ -1017,11 +1011,14 @@ mod tests {
         engine
             .cache
             .admit_seed(&key, &neighbour, profile.clone(), Arc::new(dead));
-        let (_, info) = engine
+        let (_, provenance) = engine
             .cache
             .nearest_seed(MechanismKind::Lrm, key.2, &w, None, &profile)
             .expect("the near-dead decomposition is w's nearest seed");
-        assert_eq!(info.fingerprint, neighbour.fingerprint().as_u64());
+        assert_eq!(
+            provenance.seed_fingerprint,
+            neighbour.fingerprint().as_u64()
+        );
 
         let before = engine.cache_stats();
         let compiled = engine.compile_default(&w, MechanismKind::Lrm).unwrap();
