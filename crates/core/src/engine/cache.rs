@@ -156,11 +156,6 @@ impl StrategyCache {
         }
     }
 
-    /// The store directory strategies spill to, if one was configured.
-    pub fn spill_dir(&self) -> Option<&std::path::Path> {
-        self.store.as_ref().map(|s| s.dir())
-    }
-
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             memory_hits: self.memory_hits.load(Ordering::Relaxed),

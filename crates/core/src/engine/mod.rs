@@ -425,7 +425,7 @@ impl Engine {
     /// any realistic budget; only cold/warm ALM runs can be cut off.
     /// Callers (the serving runtime) are expected to fall back to a
     /// non-iterative kind such as [`MechanismKind::Laplace`] at the same
-    /// ε and hand the shape to a background farm for recompile.
+    /// ε; the next compile of the same workload starts over.
     pub fn compile_with_deadline(
         &self,
         workload: &Workload,
@@ -436,13 +436,6 @@ impl Engine {
         lrm_opt::deadline::with_deadline(lrm_opt::deadline::Deadline::after(budget), || {
             self.compile(workload, kind, options)
         })
-    }
-
-    /// The strategy-store spill directory this engine persists to, if
-    /// one was configured. The serving layer parks its own durable
-    /// state (e.g. the farm's popularity queue) next to the store.
-    pub fn spill_dir(&self) -> Option<&std::path::Path> {
-        self.cache.spill_dir()
     }
 }
 

@@ -107,11 +107,6 @@ impl StrategyStore {
         Self { dir, capacity }
     }
 
-    /// The directory this store reads and writes.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     pub fn path_for(&self, fingerprint: u64, kind: MechanismKind, digest: u64) -> PathBuf {
         self.dir.join(format!(
             "{fingerprint:016x}-{:02x}-{digest:016x}.lrms",

@@ -1,4 +1,4 @@
-//! Warm-started compile farm benchmark: iteration-count reduction and
+//! Warm-start benchmark: iteration-count reduction and
 //! compile-latency percentiles on a near-duplicate panel trace, cold vs
 //! warmed vs restarted-with-store (`BENCH_6.json`).
 //!
@@ -201,7 +201,7 @@ fn main() -> ExitCode {
     }
     let report = run_warm_start_bench(&args.cfg);
     let label = format!(
-        "warm-started compile farm, {} near-duplicate {}-cut panels (single-boundary nudges) over n = {}, cold vs warmed vs restarted-with-store",
+        "warm-start benchmark, {} near-duplicate {}-cut panels (single-boundary nudges) over n = {}, cold vs warmed vs restarted-with-store",
         report.config.shapes, report.config.cuts, report.config.buckets,
     );
     if let Some(path) = &args.out {

@@ -1,4 +1,4 @@
-//! Warm-started compile farm benchmark (`BENCH_6.json`): iteration-count
+//! Warm-start benchmark (`BENCH_6.json`): iteration-count
 //! reduction and compile-latency percentiles on a near-duplicate trace,
 //! cold process vs warmed cache vs restarted-with-store.
 //!
@@ -20,9 +20,8 @@
 //!    recompiles), and a *new* near-duplicate must warm-start from a
 //!    decomposition those disk hits reloaded.
 //! 4. **restarted server** — a fresh `lrm-server` over a fresh engine on
-//!    the same store answers the prior working set end to end (with the
-//!    background compile farm on): the report must show zero cache
-//!    misses.
+//!    the same store answers the prior working set end to end, one
+//!    request per batch: the report must show zero cache misses.
 //!
 //! The headline numbers — median per-shape iteration reduction (the
 //! acceptance gate is ≥ 30%) and P99 compile latency per stage — plus
@@ -37,7 +36,7 @@ use lrm_server::{QuerySpec, Server};
 use lrm_workload::{Attribute, Schema, Workload};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Benchmark configuration.
 #[derive(Debug, Clone)]
@@ -207,10 +206,6 @@ pub struct WarmStartReport {
     pub server_misses: u64,
     /// Restarted server: engine cache stats at the end of the replay.
     pub server_cache: CacheStats,
-    /// Restarted server: distinct shapes the compile farm observed.
-    pub farm_shapes: u64,
-    /// Restarted server: shapes the farm precompiled at idle.
-    pub farm_precompiled: u64,
 }
 
 impl WarmStartReport {
@@ -291,14 +286,12 @@ impl WarmStartReport {
         );
         let _ = writeln!(
             out,
-            "  \"server_restart\": {{ \"answered\": {}, \"misses\": {}, \"disk_hits\": {}, \"store_loads\": {}, \"warm_hits\": {}, \"farm_shapes\": {}, \"farm_precompiled\": {} }},",
+            "  \"server_restart\": {{ \"answered\": {}, \"misses\": {}, \"disk_hits\": {}, \"store_loads\": {}, \"warm_hits\": {} }},",
             self.server_answered,
             self.server_misses,
             self.server_cache.disk_hits,
             self.server_cache.store_loads,
             self.server_cache.warm_hits,
-            self.farm_shapes,
-            self.farm_precompiled,
         );
         let _ = writeln!(
             out,
@@ -400,8 +393,9 @@ pub fn run_warm_start_bench(cfg: &WarmStartConfig) -> WarmStartReport {
     };
 
     // Stage 4 — restarted server: the serving runtime over yet another
-    // fresh engine on the same store replays the working set end to end,
-    // with the background compile farm on.
+    // fresh engine on the same store replays the working set end to end.
+    // With one request per batch, every batch is a working-set shape and
+    // so a disk hit.
     let schema =
         Schema::single(Attribute::new("value", 0.0, n as f64, n).expect("valid attribute"));
     let data: Vec<f64> = (0..n).map(|i| ((i * 13) % 97) as f64).collect();
@@ -411,8 +405,6 @@ pub fn run_warm_start_bench(cfg: &WarmStartConfig) -> WarmStartReport {
         .compile_options(options)
         .max_batch(1)
         .workers(2)
-        .precompile_workers(1)
-        .compile_budget(Duration::from_secs(5))
         .seed(cfg.seed)
         .build()
         .expect("valid server configuration");
@@ -471,8 +463,6 @@ pub fn run_warm_start_bench(cfg: &WarmStartConfig) -> WarmStartReport {
         server_answered: answered,
         server_misses: server_report.cache.misses,
         server_cache: server_report.cache,
-        farm_shapes: server_report.metrics.farm_shapes,
-        farm_precompiled: server_report.metrics.farm_precompiled,
     };
 
     if !cfg.quiet {

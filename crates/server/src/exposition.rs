@@ -169,21 +169,6 @@ fn counter_rows(m: &MetricsSnapshot) -> Vec<(&'static str, &'static str, u64)> {
             m.stolen_batches,
         ),
         (
-            "lrm_farm_shapes_total",
-            "Distinct shapes the compile farm observed.",
-            m.farm_shapes,
-        ),
-        (
-            "lrm_farm_precompiled_total",
-            "Shapes the farm pushed through the engine cache.",
-            m.farm_precompiled,
-        ),
-        (
-            "lrm_farm_compile_seconds_total",
-            "Wall-clock seconds the farm spent compiling.",
-            m.farm_compile_time.as_secs(),
-        ),
-        (
             "lrm_worker_respawns_total",
             "Worker panics contained and recovered.",
             m.worker_respawns,

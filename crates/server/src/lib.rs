@@ -70,7 +70,6 @@
 
 pub mod coalesce;
 pub mod exposition;
-mod farm;
 pub mod metrics;
 pub mod server;
 pub mod spec;

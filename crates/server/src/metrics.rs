@@ -138,9 +138,6 @@ pub(crate) struct ServerMetrics {
     pub window_closed_batches: AtomicU64,
     pub ceiling_closed_batches: AtomicU64,
     pub drain_closed_batches: AtomicU64,
-    pub farm_shapes: AtomicU64,
-    pub farm_precompiled: AtomicU64,
-    pub farm_compile_us: AtomicU64,
     pub worker_respawns: AtomicU64,
     pub quarantined_shapes: AtomicU64,
     pub degraded_releases: AtomicU64,
@@ -184,9 +181,6 @@ impl ServerMetrics {
             window_closed_batches: AtomicU64::new(0),
             ceiling_closed_batches: AtomicU64::new(0),
             drain_closed_batches: AtomicU64::new(0),
-            farm_shapes: AtomicU64::new(0),
-            farm_precompiled: AtomicU64::new(0),
-            farm_compile_us: AtomicU64::new(0),
             worker_respawns: AtomicU64::new(0),
             quarantined_shapes: AtomicU64::new(0),
             degraded_releases: AtomicU64::new(0),
@@ -283,9 +277,6 @@ impl ServerMetrics {
             window_closed_batches: self.window_closed_batches.load(Ordering::Relaxed),
             ceiling_closed_batches: self.ceiling_closed_batches.load(Ordering::Relaxed),
             drain_closed_batches: self.drain_closed_batches.load(Ordering::Relaxed),
-            farm_shapes: self.farm_shapes.load(Ordering::Relaxed),
-            farm_precompiled: self.farm_precompiled.load(Ordering::Relaxed),
-            farm_compile_time: Duration::from_micros(self.farm_compile_us.load(Ordering::Relaxed)),
             worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
             quarantined_shapes: self.quarantined_shapes.load(Ordering::Relaxed),
             degraded_releases: self.degraded_releases.load(Ordering::Relaxed),
@@ -355,13 +346,6 @@ pub struct MetricsSnapshot {
     /// Batches flushed by the shutdown drain (the scheduler hung up with
     /// the batch still open).
     pub drain_closed_batches: u64,
-    /// Distinct shapes the compile farm observed in the admission stream.
-    pub farm_shapes: u64,
-    /// Shapes the farm pushed through the engine cache.
-    pub farm_precompiled: u64,
-    /// Total wall-clock the farm spent compiling (bounded by the
-    /// configured compile budget).
-    pub farm_compile_time: Duration,
     /// Worker panics contained and recovered from (the worker kept — or
     /// logically respawned into — its pool slot).
     pub worker_respawns: u64,

@@ -26,10 +26,7 @@
 //!    stops growing and the batch pays for its compile (see
 //!    [`ServerBuilder::rank_close`]), when the window
 //!    elapses, or at the `max_batch` ceiling. A lone spec falls through
-//!    as a single-request batch. The scheduler also feeds every admitted
-//!    shape to the background compile farm (see
-//!    [`ServerBuilder::precompile_workers`]), which precompiles popular
-//!    shapes through the engine cache while workers are otherwise idle.
+//!    as a single-request batch.
 //! 5. **compile / cache** — a worker claims the closed batch from its
 //!    shard's flush queue (stealing from other shards when its own is
 //!    empty), concatenates it into one combined structured workload and
@@ -86,8 +83,8 @@
 //!   batch is answered by the guaranteed-fast noise-on-data baseline in
 //!   the server's own noise flavor — Laplace at the same ε on a pure
 //!   server, Gaussian at the same (ε, δ) on an approximate one
-//!   ([`Release::degraded`] is set); the shape goes to the compile farm
-//!   for a background recompile.
+//!   ([`Release::degraded`] is set). Nothing is cached for the shape,
+//!   so its next batch compiles again.
 //! * **Bounded admission** — with [`ServerBuilder::max_queue_depth`]
 //!   set, submissions beyond the per-shard cap are shed synchronously
 //!   with [`ServerError::Overloaded`] instead of growing the queue
@@ -95,9 +92,8 @@
 //!   backlog.
 
 use crate::coalesce::{combine, BatchKey, RankTracker};
-use crate::farm::{shape_hash, Claim, FarmState};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
-use crate::spec::{PreparedSpec, QuerySpec, SpecError};
+use crate::spec::{shape_hash, PreparedSpec, QuerySpec, SpecError};
 use crate::tenants::{AdmissionError, BurnTracker, TenantLedgers, TenantSpend, TenantTelemetry};
 use crate::tickets::{Completion, Responder, TicketSet};
 use lrm_core::engine::{
@@ -134,8 +130,6 @@ pub struct ServerBuilder {
     rank_close: bool,
     workers: usize,
     shards: usize,
-    precompile_workers: usize,
-    compile_budget: Duration,
     seed: u64,
     state_dir: Option<PathBuf>,
     compile_deadline: Option<Duration>,
@@ -164,8 +158,6 @@ impl ServerBuilder {
             rank_close: true,
             workers: 2,
             shards: 1,
-            precompile_workers: 0,
-            compile_budget: Duration::from_secs(2),
             seed: entropy_seed(),
             state_dir: None,
             compile_deadline: None,
@@ -256,26 +248,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Background compile-farm threads (default 0: farm off). Farm
-    /// workers drain a popularity-ranked queue of the standalone shapes
-    /// observed in the admission stream and precompile each through the
-    /// shared engine cache — exact hits, similarity warm starts, and the
-    /// cross-restart strategy store all apply — so hot shapes are warm
-    /// before a tenant waits on them. Farm compiles never answer, never
-    /// draw noise, and never debit a ledger.
-    pub fn precompile_workers(mut self, workers: usize) -> Self {
-        self.precompile_workers = workers;
-        self
-    }
-
-    /// Total compile wall-clock the farm may spend per [`Server::serve`]
-    /// run (default 2 s). A soft cap: the compile in flight when the
-    /// budget runs out finishes, nothing new starts.
-    pub fn compile_budget(mut self, budget: Duration) -> Self {
-        self.compile_budget = budget;
-        self
-    }
-
     /// Master seed for the per-batch noise streams (batch `i` draws from
     /// `derive_rng(seed, i)`).
     ///
@@ -292,12 +264,12 @@ impl ServerBuilder {
     }
 
     /// Directory for the server's durable state: per-tenant ε-budget
-    /// journals (`ledgers/`), the noise-epoch file, and the compile
-    /// farm's persisted popularity queue. Restarting a server over the
-    /// same directory resumes tenant spend (conservatively — unsettled
-    /// intents replay as spent), keeps noise-stream labels disjoint, and
-    /// resumes the precompile queue. Without it, everything above lives
-    /// for the process only (the previous behavior).
+    /// journals (`ledgers/`) and the noise-epoch file. Restarting a
+    /// server over the same directory resumes tenant spend
+    /// (conservatively — unsettled intents replay as spent) and keeps
+    /// noise-stream labels disjoint. Without it, both live for the
+    /// process only. Compiled strategies persist through the engine's
+    /// own store (see [`ServerBuilder::engine`]).
     pub fn state_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.state_dir = Some(dir.into());
         self
@@ -305,10 +277,9 @@ impl ServerBuilder {
 
     /// Cooperative per-batch compile deadline (default: none). A compile
     /// that overruns is abandoned at the next solver-iteration check and
-    /// the batch is answered by the Laplace baseline at the same ε, with
-    /// [`Release::degraded`] set; the shape is handed to the compile
-    /// farm so a background recompile (or the next run, via the
-    /// persisted queue) can lift the degradation.
+    /// the batch is answered by the noise-on-data baseline at the same
+    /// budget, with [`Release::degraded`] set. An abandoned compile
+    /// caches nothing, so the shape's next batch compiles again.
     pub fn compile_deadline(mut self, deadline: Duration) -> Self {
         self.compile_deadline = Some(deadline);
         self
@@ -408,8 +379,6 @@ impl ServerBuilder {
             rank_close: self.rank_close,
             workers: self.workers,
             shards: self.shards,
-            precompile_workers: self.precompile_workers,
-            compile_budget: self.compile_budget,
             seed: self.seed,
             compile_deadline: self.compile_deadline,
             max_queue_depth: self.max_queue_depth,
@@ -417,7 +386,6 @@ impl ServerBuilder {
             coalesce_across_eps: self.coalesce_across_eps,
             tenants: TenantLedgers::new(self.state_dir.as_ref().map(|d| d.join("ledgers"))),
             burn: BurnTracker::new(BURN_WINDOW),
-            state_dir: self.state_dir,
             quarantine: RwLock::new(HashSet::new()),
             batch_counter: AtomicU64::new(batch_start),
         })
@@ -458,14 +426,11 @@ pub struct Server {
     rank_close: bool,
     workers: usize,
     shards: usize,
-    precompile_workers: usize,
-    compile_budget: Duration,
     seed: u64,
     compile_deadline: Option<Duration>,
     max_queue_depth: Option<usize>,
     worker_panic_budget: u64,
     coalesce_across_eps: bool,
-    state_dir: Option<PathBuf>,
     tenants: TenantLedgers,
     /// Sliding-window ε/δ burn rates per tenant (settled debits only).
     burn: BurnTracker,
@@ -567,16 +532,6 @@ impl Server {
     /// Returns `f`'s result plus the [`ServerReport`] for the run.
     pub fn serve<R>(&self, f: impl FnOnce(&Client<'_>) -> R) -> (R, ServerReport) {
         let metrics = ServerMetrics::new(self.shards);
-        let farm = FarmState::new(self.compile_budget);
-        // Resume the persisted popularity queue, if a prior run (over
-        // the same state or spill directory) left one behind.
-        let farm_path = self.farm_queue_path();
-        if let Some(path) = &farm_path {
-            let loaded = farm.load(path, self.schema.fingerprint());
-            metrics
-                .farm_shapes
-                .fetch_add(loaded as u64, Ordering::Relaxed);
-        }
         let live_workers = AtomicUsize::new(self.workers);
         let pool = WorkPool::new(self.shards);
         let mut sub_txs = Vec::with_capacity(self.shards);
@@ -589,17 +544,13 @@ impl Server {
 
         let result = std::thread::scope(|s| {
             let m = &metrics;
-            let farm = &farm;
             let live = &live_workers;
             let pool = &pool;
             for (shard, rx) in sub_rxs.into_iter().enumerate() {
-                s.spawn(move || self.scheduler_loop(shard, m, farm, rx, pool));
+                s.spawn(move || self.scheduler_loop(shard, m, rx, pool));
             }
             for w in 0..self.workers {
-                s.spawn(move || self.worker_loop(w, m, pool, farm, live));
-            }
-            for _ in 0..self.precompile_workers {
-                s.spawn(|| self.farm_loop(m, farm));
+                s.spawn(move || self.worker_loop(w, m, pool, live));
             }
             let client = Client {
                 server: self,
@@ -609,16 +560,10 @@ impl Server {
             f(&client)
             // `client` (the last submission sender for every shard)
             // drops here: each shard flushes its open batches and exits;
-            // the last shard out signals the farm that the admission
-            // stream is over; the workers drain the flush queues, the
-            // farm drains what its budget affords, and the scope joins
+            // the workers drain the flush queues, and the scope joins
             // them all.
         });
 
-        if let Some(path) = &farm_path {
-            // Best effort: a lost queue is a cold start, not an error.
-            let _ = farm.save(path);
-        }
         metrics
             .ledger_replays
             .store(self.tenants.replays(), Ordering::Relaxed);
@@ -632,26 +577,16 @@ impl Server {
         (result, report)
     }
 
-    /// Where the farm's popularity queue persists: the state directory
-    /// if configured, else alongside the engine's strategy store.
-    fn farm_queue_path(&self) -> Option<PathBuf> {
-        self.state_dir
-            .clone()
-            .or_else(|| self.engine.spill_dir().map(Path::to_path_buf))
-            .map(|d| d.join("farm_queue.lrmf"))
-    }
-
     /// One coalescing scheduler shard: groups admissible submissions by
     /// [`BatchKey`] within the bounded window. Every shard runs this
     /// same loop over its own submission channel, open-batch map, and
     /// window timers; closed batches go to the shard's flush queue in
     /// the shared [`WorkPool`]. The shard that drains last signals the
-    /// farm and the workers that the admission stream is over.
+    /// workers that the admission stream is over.
     fn scheduler_loop(
         &self,
         shard: usize,
         metrics: &ServerMetrics,
-        farm: &FarmState,
         rx: Receiver<Submission>,
         pool: &WorkPool,
     ) {
@@ -688,11 +623,6 @@ impl Server {
                             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         respond(metrics, sub, Err(ServerError::Quarantined { shape }));
                         continue;
-                    }
-                    if self.precompile_workers > 0 && farm.observe(&sub.prepared) {
-                        metrics
-                            .farm_shapes
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     }
                     // The key was computed on the submit path (it routed
                     // the submission to this shard).
@@ -746,12 +676,8 @@ impl Server {
                     }
                     // The flushes above happen-before this decrement, so
                     // a worker that observes zero live shards and empty
-                    // queues can safely exit. Only the last shard out
-                    // ends the farm's input: other shards may still be
-                    // observing shapes.
-                    if pool.scheduler_done() == 0 {
-                        farm.finish_input();
-                    }
+                    // queues can safely exit.
+                    pool.scheduler_done();
                     break;
                 }
             }
@@ -853,7 +779,6 @@ impl Server {
         worker: usize,
         metrics: &ServerMetrics,
         pool: &WorkPool,
-        farm: &FarmState,
         live_workers: &AtomicUsize,
     ) {
         use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -872,9 +797,7 @@ impl Server {
             // (a plain Vec the answer loop shrinks with `remove(0)`, so
             // exactly the unresponded members remain) and shared state
             // whose own locks handle poisoning.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.answer_batch(metrics, farm, &mut job)
-            }));
+            let outcome = catch_unwind(AssertUnwindSafe(|| self.answer_batch(metrics, &mut job)));
             if outcome.is_ok() {
                 continue;
             }
@@ -909,42 +832,12 @@ impl Server {
         }
     }
 
-    /// A farm worker: precompile popularity-ranked shapes through the
-    /// engine cache until the queue is drained (after the admission
-    /// stream ends) or the compile budget is spent. Best-effort by
-    /// design: a failed compile is dropped — the serving path will
-    /// surface the same error to the tenant that actually asks.
-    fn farm_loop(&self, metrics: &ServerMetrics, farm: &FarmState) {
-        loop {
-            match farm.claim() {
-                Claim::Shape(prepared) => {
-                    let t0 = Instant::now();
-                    if let Ok(workload) = prepared.to_workload() {
-                        let _ = self
-                            .engine
-                            .compile(&workload, self.mechanism, &self.options);
-                    }
-                    let elapsed = t0.elapsed();
-                    farm.record_spent(elapsed);
-                    metrics.farm_precompiled.fetch_add(1, Ordering::Relaxed);
-                    metrics.farm_compile_us.fetch_add(
-                        elapsed.as_micros().min(u128::from(u64::MAX)) as u64,
-                        Ordering::Relaxed,
-                    );
-                }
-                Claim::Empty if farm.input_done() => break,
-                Claim::Empty => std::thread::sleep(Duration::from_micros(500)),
-                Claim::Exhausted => break,
-            }
-        }
-    }
-
     /// Compile → intents → one noisy release → slice → settle, for one
     /// batch. Takes the job by `&mut` so that if this method panics (a
     /// worker fault), the supervisor in [`Server::worker_loop`] finds
     /// exactly the not-yet-responded members still in
     /// `job.submissions`.
-    fn answer_batch(&self, metrics: &ServerMetrics, farm: &FarmState, job: &mut BatchJob) {
+    fn answer_batch(&self, metrics: &ServerMetrics, job: &mut BatchJob) {
         let claimed_at = Instant::now();
         let trace = job.trace;
         let _serve_span = lrm_obs::span!(in trace; "batch.serve",
@@ -1008,17 +901,6 @@ impl Server {
         drop(compile_span);
         let compile_done = Instant::now();
         let degraded = compiled.meta().degraded;
-        if degraded {
-            // The configured mechanism blew its deadline; hand every
-            // member's standalone shape to the farm so a background
-            // recompile (or the next run, via the persisted queue) can
-            // answer it undegraded.
-            for sub in &job.submissions {
-                if farm.observe(&sub.prepared) {
-                    metrics.farm_shapes.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
         // Phase one: durably reserve every member's own (ε, δ) budget
         // BEFORE any noise is drawn. From here on a crash can only waste
         // reserved budget (the intent replays as spent) — never release
@@ -1434,13 +1316,11 @@ impl WorkPool {
         }
     }
 
-    /// Marks one scheduler shard as exited (all its batches flushed);
-    /// returns how many are still live.
-    fn scheduler_done(&self) -> usize {
-        let remaining = self.live_schedulers.fetch_sub(1, Ordering::SeqCst) - 1;
+    /// Marks one scheduler shard as exited (all its batches flushed).
+    fn scheduler_done(&self) {
+        self.live_schedulers.fetch_sub(1, Ordering::SeqCst);
         drop(self.gate.lock().unwrap_or_else(|e| e.into_inner()));
         self.available.notify_all();
-        remaining
     }
 }
 

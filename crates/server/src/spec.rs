@@ -180,22 +180,6 @@ pub struct PreparedSpec {
 }
 
 impl PreparedSpec {
-    /// Reassembles a spec from persisted parts (the farm's durable
-    /// popularity queue). Crate-internal: the public path to a
-    /// `PreparedSpec` is [`QuerySpec::compile`], which validates against
-    /// a live schema.
-    pub(crate) fn from_parts(
-        domain_size: usize,
-        schema_fingerprint: u64,
-        rows: PreparedRows,
-    ) -> Self {
-        Self {
-            domain_size,
-            schema_fingerprint,
-            rows,
-        }
-    }
-
     /// Number of queries (rows) this spec contributes to a batch.
     pub fn num_queries(&self) -> usize {
         match &self.rows {
@@ -238,6 +222,40 @@ impl PreparedSpec {
             }
         }
     }
+}
+
+/// FNV-1a over a prepared spec's domain and rows: the key of the
+/// server's panic-quarantine set. Two specs with identical rows over the
+/// same domain are one shape however they were phrased.
+pub(crate) fn shape_hash(spec: &PreparedSpec) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fold = |v: u64| {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    fold(spec.domain_size() as u64);
+    match spec.rows() {
+        PreparedRows::Intervals(rows) => {
+            fold(0);
+            for &(lo, hi) in rows {
+                fold(lo as u64);
+                fold(hi as u64);
+            }
+        }
+        PreparedRows::Sparse(rows) => {
+            fold(1);
+            for row in rows {
+                fold(row.len() as u64);
+                for &(cell, weight) in row {
+                    fold(cell as u64);
+                    fold(weight.to_bits());
+                }
+            }
+        }
+    }
+    h
 }
 
 /// Typed spec-translation failure (an admission error: the request never

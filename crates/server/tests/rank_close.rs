@@ -1,14 +1,11 @@
-//! Scheduler rank-growth close + background compile farm (ISSUE 6).
+//! Scheduler rank-growth close and the server's cache report.
 //!
 //! * A batch closes as soon as a member stops growing the estimated
 //!   combined rank — without waiting out the window and far below the
 //!   `max_batch` ceiling — and the member that saturated it still rides
 //!   along (shares the noise draw).
 //! * With the close disabled, the same trace coalesces into one big
-//!   batch at shutdown, exactly like the pre-ISSUE-6 scheduler.
-//! * The farm observes every admitted shape, drains the queue by
-//!   popularity at shutdown, and its work lands in the shared engine
-//!   cache.
+//!   batch at shutdown, exactly like a window-only scheduler.
 //! * The engine's warm-start counters (warm hits / store loads /
 //!   evictions) surface through `ServerReport::cache`.
 
@@ -159,71 +156,6 @@ fn members_that_grow_the_rank_keep_the_batch_open() {
     assert_eq!(report.metrics.batches, 1);
     assert_eq!(report.metrics.max_occupancy, 3);
     assert_eq!(report.metrics.rank_closed_batches, 0);
-}
-
-#[test]
-fn farm_precompiles_every_observed_shape() {
-    let server = Server::builder(schema(32), data(32))
-        .max_batch(1)
-        .workers(2)
-        .precompile_workers(1)
-        .compile_budget(Duration::from_secs(10))
-        .seed(SEED)
-        .build()
-        .unwrap();
-    server.register_tenant("a", eps(4.0));
-
-    let specs = [
-        QuerySpec::Total,
-        QuerySpec::Prefixes {
-            attr: 0,
-            thresholds: vec![8.0, 16.0, 24.0],
-        },
-        QuerySpec::Ranges {
-            attr: 0,
-            ranges: vec![(0.0, 16.0), (16.0, 32.0)],
-        },
-    ];
-    let (tickets, report) = server.serve(|client| {
-        let mut tickets = Vec::new();
-        for spec in &specs {
-            // The popular shape: submitted twice, the others once.
-            tickets.push(client.submit("a", spec, eps(0.25)).unwrap());
-        }
-        tickets.push(client.submit("a", &specs[0], eps(0.25)).unwrap());
-        tickets
-    });
-    for t in tickets {
-        t.wait().unwrap();
-    }
-    // Three distinct shapes observed (the repeat bumps popularity only),
-    // and the shutdown drain precompiled every one inside the budget.
-    assert_eq!(report.metrics.farm_shapes, 3);
-    assert_eq!(report.metrics.farm_precompiled, 3);
-    assert!(report.metrics.farm_compile_time <= Duration::from_secs(10));
-    assert_eq!(report.metrics.answered, 4);
-}
-
-#[test]
-fn an_exhausted_budget_stops_the_farm() {
-    let server = Server::builder(schema(32), data(32))
-        .max_batch(1)
-        .workers(2)
-        .precompile_workers(1)
-        .compile_budget(Duration::ZERO)
-        .seed(SEED)
-        .build()
-        .unwrap();
-    server.register_tenant("a", eps(4.0));
-
-    let (ticket, report) =
-        server.serve(|client| client.submit("a", &QuerySpec::Total, eps(0.25)).unwrap());
-    ticket.wait().unwrap();
-    // The shape was observed, but a zero budget precompiles nothing —
-    // and the serving path answered regardless.
-    assert_eq!(report.metrics.farm_shapes, 1);
-    assert_eq!(report.metrics.farm_precompiled, 0);
-    assert_eq!(report.metrics.answered, 1);
 }
 
 #[test]
