@@ -8,7 +8,7 @@
 //!
 //! Each cycle builds a fresh server over one shared durable state
 //! directory, injects one fault from the fixed rotation (worker panic,
-//! compile stall, settle crash, torn ε-journal, truncated farm queue),
+//! compile stall, settle crash, torn ε-journal),
 //! drives real traffic, and shuts down; the run fails unless every
 //! invariant holds across all cycles — no tenant over-spend in either
 //! ledger column, no duplicate noise release, no starved cycle, no

@@ -5,7 +5,7 @@
 //! [`Server`] "processes" that all share one durable state directory —
 //! every cycle builds a server over whatever the previous cycle left on
 //! disk, injects one fault from a fixed rotation, serves a deterministic
-//! request mix, shuts down, and (for the file-damage faults) corrupts the
+//! request mix, shuts down, and (for the file-damage fault) corrupts the
 //! on-disk state before the next cycle reopens it. The faults:
 //!
 //! | fault | mechanism |
@@ -14,10 +14,9 @@
 //! | compile stall | `core::alm::stall` failpoint + a compile deadline |
 //! | settle crash | `server::settle::crash` failpoint (after noise, before settlement) |
 //! | torn journal | truncate 1–3 bytes off one tenant's ε-journal |
-//! | store truncate | chop the persisted farm queue in half |
 //!
 //! The failpoint faults need `debug_assertions` (they compile to no-ops
-//! in release builds); the file-damage faults and the restart machinery
+//! in release builds); the file-damage fault and the restart machinery
 //! are real in every profile. Invariants checked across the whole run,
 //! not per cycle:
 //!
@@ -60,18 +59,15 @@ pub enum Fault {
     SettleCrash,
     /// 1–3 bytes torn off the end of one tenant's budget journal.
     TornJournal,
-    /// The persisted farm queue is chopped in half.
-    StoreTruncate,
 }
 
 impl Fault {
-    /// The fixed rotation; cycle `c` injects `ROTATION[c % 5]`.
-    pub const ROTATION: [Fault; 5] = [
+    /// The fixed rotation; cycle `c` injects `ROTATION[c % 4]`.
+    pub const ROTATION: [Fault; 4] = [
         Fault::WorkerPanic,
         Fault::CompileStall,
         Fault::SettleCrash,
         Fault::TornJournal,
-        Fault::StoreTruncate,
     ];
 
     /// Short label for per-cycle reporting.
@@ -81,7 +77,6 @@ impl Fault {
             Fault::CompileStall => "compile-stall",
             Fault::SettleCrash => "settle-crash",
             Fault::TornJournal => "torn-journal",
-            Fault::StoreTruncate => "store-truncate",
         }
     }
 
@@ -161,9 +156,9 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// The pinned CI smoke configuration: 6 cycles (one full rotation
-    /// plus the reopen that verifies the last file-damage fault), small
-    /// domain.
+    /// The pinned CI smoke configuration: 6 cycles (one full rotation,
+    /// the reopen that verifies the torn journal, and a second worker
+    /// panic), small domain.
     pub fn smoke() -> Self {
         Self {
             cycles: 6,
@@ -181,7 +176,7 @@ impl ChaosConfig {
     /// failpoint faults (worker panic, compile stall, settle crash), so
     /// three cycles cover every in-process fault — including the
     /// settle crash whose (ε, δ) intent must replay in both columns —
-    /// without repeating the flavor-independent file-damage faults.
+    /// without repeating the flavor-independent file-damage fault.
     pub fn gaussian_smoke() -> Self {
         Self {
             cycles: 3,
@@ -454,7 +449,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                         at: rng.gen_range(1..=2),
                     },
                 ),
-                Fault::TornJournal | Fault::StoreTruncate => {}
+                Fault::TornJournal => {}
             }
         }
 
@@ -557,7 +552,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
                     server_report.metrics.worker_respawns > 0
                 }
                 Fault::CompileStall => server_report.metrics.degraded_releases > 0,
-                Fault::TornJournal | Fault::StoreTruncate => true,
+                Fault::TornJournal => true,
             };
             if !symptom_shown {
                 report.missed_faults += 1;
@@ -585,11 +580,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         }
         drop(server_report);
 
-        // The file-damage faults strike *between* processes.
-        match fault {
-            Fault::TornJournal => tear_a_journal(dir, &mut rng),
-            Fault::StoreTruncate => truncate_farm_queue(dir),
-            _ => {}
+        // The file-damage fault strikes *between* processes.
+        if fault == Fault::TornJournal {
+            tear_a_journal(dir, &mut rng);
         }
     }
 
@@ -709,21 +702,6 @@ fn tear_a_journal(state_dir: &Path, rng: &mut impl Rng) {
     }
 }
 
-/// Chops the persisted farm popularity queue in half; the next server
-/// must tolerate the damage (it is a performance hint, not privacy
-/// state).
-fn truncate_farm_queue(state_dir: &Path) {
-    let path = state_dir.join("farm_queue.lrmf");
-    let Ok(meta) = std::fs::metadata(&path) else {
-        return;
-    };
-    if meta.len() > 4 {
-        if let Ok(f) = std::fs::OpenOptions::new().write(true).open(&path) {
-            let _ = f.set_len(meta.len() / 2);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,7 +714,7 @@ mod tests {
     #[test]
     fn restart_invariants_hold_without_failpoints() {
         let cfg = ChaosConfig {
-            cycles: 5, // one full rotation: both file-damage faults strike
+            cycles: 5, // one full rotation, then a reopen after the torn journal
             buckets: 32,
             cuts: 4,
             big_tenants: 2,
@@ -773,7 +751,7 @@ mod tests {
     #[test]
     fn gaussian_restart_invariants_hold_without_failpoints() {
         let cfg = ChaosConfig {
-            cycles: 5, // one full rotation: both file-damage faults strike
+            cycles: 5, // one full rotation, then a reopen after the torn journal
             buckets: 32,
             cuts: 4,
             big_tenants: 2,
@@ -804,7 +782,7 @@ mod tests {
 
     #[test]
     fn rotation_covers_every_fault_and_smoke_replays_it() {
-        assert_eq!(Fault::ROTATION.len(), 5);
+        assert_eq!(Fault::ROTATION.len(), 4);
         let smoke = ChaosConfig::smoke();
         assert!(smoke.cycles > Fault::ROTATION.len());
         // The well-funded budget covers the whole run's demand.
