@@ -40,9 +40,8 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 ///
 /// The `aip == 0.0` skip is a deliberate, benchmark-justified choice. It
 /// sits on the `p` loop — *outside* the vectorized j loop — so its cost is
-/// one predictable branch per `n` multiply-adds. Criterion A/B on this
-/// container (512³ GEMM, `matmul_sparsity` group in
-/// `lrm-bench/benches/linalg_kernels.rs`): dense input 31.5 ms with the
+/// one predictable branch per `n` multiply-adds. A/B on a 512³ GEMM:
+/// dense input 31.5 ms with the
 /// skip vs 31.4 ms without (within noise), while a 0/1 range-workload
 /// input drops 31.7 → 11.1 ms (2.9×) and a 5%-filled input 33.4 → 2.4 ms
 /// (14×). Structured operands should still prefer the dedicated
