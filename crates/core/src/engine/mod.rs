@@ -1024,34 +1024,43 @@ mod tests {
 
     #[test]
     fn version_mismatched_store_entries_are_recompiled() {
-        let dir = std::env::temp_dir().join(format!("lrm_engine_vmm_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let w = panel(64, 15);
+        // Two kinds of damage to every stored entry: a corrupted version
+        // word, and a file torn to half its length.
+        let damages: [fn(&mut Vec<u8>); 2] = [|b| b[4] = 0xEE, |b| b.truncate(b.len() / 2)];
+        for (case, damage) in damages.into_iter().enumerate() {
+            let dir =
+                std::env::temp_dir().join(format!("lrm_engine_vmm_{}_{case}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let w = panel(64, 15);
 
-        let engine = Engine::builder().spill_dir(&dir).build();
-        engine.compile_default(&w, MechanismKind::Lrm).unwrap();
-        drop(engine);
+            let engine = Engine::builder().spill_dir(&dir).build();
+            engine.compile_default(&w, MechanismKind::Lrm).unwrap();
+            drop(engine);
 
-        // Corrupt the version word of every stored entry.
-        for entry in std::fs::read_dir(&dir).unwrap().flatten() {
-            let path = entry.path();
-            let mut bytes = std::fs::read(&path).unwrap();
-            bytes[4] = 0xEE;
-            std::fs::write(&path, &bytes).unwrap();
+            for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+                let path = entry.path();
+                let mut bytes = std::fs::read(&path).unwrap();
+                damage(&mut bytes);
+                std::fs::write(&path, &bytes).unwrap();
+            }
+
+            let engine2 = Engine::builder().spill_dir(&dir).build();
+            let again = engine2.compile_default(&w, MechanismKind::Lrm).unwrap();
+            assert_eq!(again.meta().cache, CacheOutcome::Miss, "damage {case}");
+            assert_eq!(engine2.cache_stats().store_loads, 0, "damage {case}");
+
+            // The recompile overwrote the bad entry: a third engine reloads.
+            drop(engine2);
+            let engine3 = Engine::builder().spill_dir(&dir).build();
+            let reloaded = engine3.compile_default(&w, MechanismKind::Lrm).unwrap();
+            assert_eq!(
+                reloaded.meta().cache,
+                CacheOutcome::DiskHit,
+                "damage {case}"
+            );
+
+            let _ = std::fs::remove_dir_all(dir);
         }
-
-        let engine2 = Engine::builder().spill_dir(&dir).build();
-        let again = engine2.compile_default(&w, MechanismKind::Lrm).unwrap();
-        assert_eq!(again.meta().cache, CacheOutcome::Miss);
-        assert_eq!(engine2.cache_stats().store_loads, 0);
-
-        // The recompile overwrote the bad entry: a third engine reloads.
-        drop(engine2);
-        let engine3 = Engine::builder().spill_dir(&dir).build();
-        let reloaded = engine3.compile_default(&w, MechanismKind::Lrm).unwrap();
-        assert_eq!(reloaded.meta().cache, CacheOutcome::DiskHit);
-
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
