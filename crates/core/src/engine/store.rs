@@ -17,16 +17,22 @@
 //! typed error and simply recompiled over.
 //!
 //! The store is bounded: beyond `capacity` files, the least recently
-//! written entries (by mtime) are evicted at save time.
+//! written entries are evicted at save time. Write order lives in memory,
+//! seeded by one directory listing (oldest mtime first) when the store
+//! opens, so a save never rescans the directory. The index assumes one
+//! live writer per directory: files another process writes meanwhile are
+//! seen at the next open.
 
 use crate::decomposition::WorkloadDecomposition;
 use crate::engine::registry::{MechanismKind, NoiseFlavor};
 use lrm_dp::{sensitivity, SensitivityNorm};
 use lrm_linalg::Matrix;
 use lrm_workload::Workload;
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 const MAGIC: &[u8; 4] = b"LRMS";
 /// v1: pre-flavor files (everything is pure ε-DP / Laplace / L1).
@@ -100,11 +106,36 @@ pub(crate) struct StoredHeader {
 pub(crate) struct StrategyStore {
     dir: PathBuf,
     capacity: usize,
+    /// The store's files, least recently written first.
+    written: Mutex<VecDeque<PathBuf>>,
 }
 
 impl StrategyStore {
+    /// Opens the store over `dir`, indexing the `.lrms` files already
+    /// there by mtime (a missing directory is an empty store).
     pub fn open(dir: PathBuf, capacity: usize) -> Self {
-        Self { dir, capacity }
+        let mut files: Vec<(std::time::SystemTime, PathBuf)> = std::fs::read_dir(&dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(|entry| {
+                let path = entry.path();
+                if path.extension().and_then(|e| e.to_str()) != Some("lrms") {
+                    return None;
+                }
+                let mtime = entry
+                    .metadata()
+                    .and_then(|m| m.modified())
+                    .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
+                Some((mtime, path))
+            })
+            .collect();
+        files.sort();
+        Self {
+            dir,
+            capacity,
+            written: Mutex::new(files.into_iter().map(|(_, path)| path).collect()),
+        }
     }
 
     pub fn path_for(&self, fingerprint: u64, kind: MechanismKind, digest: u64) -> PathBuf {
@@ -189,43 +220,19 @@ impl StrategyStore {
             decomposition.l().write_binary(&mut out)?;
             out.into_inner().map_err(|e| e.into_error())?.sync_data()
         })();
+        let mut written = self.written.lock().expect("store index lock");
+        written.retain(|p| *p != path);
         if write.is_err() {
             let _ = std::fs::remove_file(&path);
             return 0;
         }
-        self.evict_beyond_capacity(&path)
-    }
-
-    /// Removes oldest-mtime entries until at most `capacity` remain,
-    /// never evicting `just_written`. Returns how many were removed.
-    fn evict_beyond_capacity(&self, just_written: &Path) -> u64 {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        let mut files: Vec<(std::time::SystemTime, PathBuf)> = entries
-            .flatten()
-            .filter_map(|entry| {
-                let path = entry.path();
-                if path.extension().and_then(|e| e.to_str()) != Some("lrms") || path == just_written
-                {
-                    return None;
-                }
-                let mtime = entry
-                    .metadata()
-                    .and_then(|m| m.modified())
-                    .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-                Some((mtime, path))
-            })
-            .collect();
-        // +1 for the file just written, which always survives.
-        if files.len() < self.capacity {
-            return 0;
-        }
-        files.sort();
-        let excess = files.len() + 1 - self.capacity;
+        written.push_back(path);
+        // Oldest first; the file just written is at the back and, with
+        // `capacity ≥ 1`, always survives.
         let mut evicted = 0;
-        for (_, path) in files.into_iter().take(excess) {
-            if std::fs::remove_file(path).is_ok() {
+        while written.len() > self.capacity.max(1) {
+            let oldest = written.pop_front().expect("longer than capacity");
+            if std::fs::remove_file(oldest).is_ok() {
                 evicted += 1;
             }
         }
@@ -539,8 +546,6 @@ mod tests {
                 fingerprint: i,
                 ..header.clone()
             };
-            // Distinct mtimes so the LRU order is unambiguous.
-            std::thread::sleep(std::time::Duration::from_millis(20));
             evicted_total += store.save(&h, &d);
         }
         assert_eq!(evicted_total, 2);
@@ -549,6 +554,41 @@ mod tests {
             .collect();
         assert_eq!(left.len(), 2);
         assert!(left.contains(&3), "newest entry must survive, got {left:?}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A reopened store orders the files it finds by mtime, not by name
+    /// or listing order: written as 0..4 with mtimes running backwards,
+    /// the directory's oldest files are 3 and then 2, and those go first.
+    #[test]
+    fn reopened_store_evicts_the_directorys_oldest_files_first() {
+        let dir = tmp("evict_reopen");
+        let (_, d, header) = sample();
+        let with_fingerprint = |fingerprint| StoredHeader {
+            fingerprint,
+            ..header.clone()
+        };
+        let first = StrategyStore::open(dir.clone(), 16);
+        let epoch = std::time::SystemTime::UNIX_EPOCH;
+        for i in 0..4u64 {
+            assert_eq!(first.save(&with_fingerprint(i), &d), 0);
+            let path = first.path_for(i, header.kind, header.digest);
+            let mtime = epoch + std::time::Duration::from_secs(1_000_000 - i);
+            File::options()
+                .write(true)
+                .open(&path)
+                .and_then(|f| f.set_modified(mtime))
+                .unwrap();
+        }
+        drop(first);
+
+        let reopened = StrategyStore::open(dir.clone(), 3);
+        assert_eq!(reopened.save(&with_fingerprint(9), &d), 2);
+        let left: Vec<u64> = [0, 1, 2, 3, 9]
+            .into_iter()
+            .filter(|&i| reopened.path_for(i, header.kind, header.digest).exists())
+            .collect();
+        assert_eq!(left, vec![0, 1, 9]);
         let _ = std::fs::remove_dir_all(dir);
     }
 }
