@@ -131,7 +131,12 @@ pub struct DecompositionConfig {
     pub inner_alternations: usize,
     /// Relative change threshold that ends the inner loop early.
     pub inner_tol: f64,
-    /// Budget for the Nesterov `L`-solver (Algorithm 2).
+    /// Budget for the Nesterov `L`-solver (Algorithm 2). Algorithm 1 only
+    /// asks for an approximate solve of each subproblem, and the cap, not
+    /// the `χ` test, ends most inner solves at any budget from 5 to 40,
+    /// while the L-step is most of a compile's time. Those budgets give
+    /// the same median expected error on serving-sized batches, so the
+    /// default caps at 10 iterations (20 in polish).
     pub nesterov: NesterovConfig,
     /// Extra outer iterations run after `τ ≤ γ` first holds, to let τ
     /// collapse further at (almost) no cost in Φ. This is what keeps the
@@ -150,7 +155,7 @@ impl Default for DecompositionConfig {
             inner_alternations: 4,
             inner_tol: 1e-7,
             nesterov: NesterovConfig {
-                max_iters: 40,
+                max_iters: 10,
                 ..NesterovConfig::default()
             },
             polish_iters: 30,
@@ -203,6 +208,9 @@ pub struct DecompositionStats {
     /// Columns the ALM solved over: the number of distinct columns of `W`
     /// (its column classes), `n` when no two columns are identical.
     pub solved_cols: usize,
+    /// Nesterov (Algorithm 2) iterations summed over every L-step of the
+    /// solve — the bulk of a compile's work.
+    pub nesterov_iterations: usize,
 }
 
 /// The decomposition `W ≈ B·L` produced by Algorithm 1.
@@ -397,6 +405,7 @@ impl WorkloadDecomposition {
             fell_back_to_initializer: false,
             warm_started,
             solved_cols: n,
+            nesterov_iterations: 0,
         };
         if stats.converged && initial_scale == 0.0 {
             // Zero workload: (B, L) = (0, 0) is already optimal.
@@ -504,7 +513,7 @@ impl WorkloadDecomposition {
                     }
                     t
                 };
-                let (l_new, lipschitz) = update_l(
+                let (l_new, lipschitz, iterations) = update_l(
                     &bt_target,
                     &b_new,
                     &l,
@@ -514,6 +523,7 @@ impl WorkloadDecomposition {
                     lipschitz_warm_start,
                 );
                 lipschitz_warm_start = (lipschitz * 0.5).max(1e-6);
+                stats.nesterov_iterations += iterations;
 
                 let change = relative_change(&b, &b_new) + relative_change(&l, &l_new);
                 b = b_new;
@@ -730,6 +740,7 @@ impl WorkloadDecomposition {
             fell_back_to_initializer: false,
             warm_started: false,
             solved_cols: l.cols(),
+            nesterov_iterations: 0,
         };
         Self {
             b,
@@ -931,8 +942,8 @@ fn update_b(rhs: &Matrix, l: &Matrix, beta: f64) -> Result<Matrix, CoreError> {
 /// (L1 per Formula 11; L2 for the Gaussian variant — a radial rescale, so
 /// Algorithm 2 is otherwise unchanged) of the radii `feasible` sets. The
 /// caller supplies `bt_target = Bᵀ(βW + π)` (structured `Bᵀ·W` product
-/// plus skippable `Bᵀ·π` GEMM). Returns the new `L` and the discovered Lipschitz
-/// estimate (used to warm-start the next call).
+/// plus skippable `Bᵀ·π` GEMM). Returns the new `L`, the discovered Lipschitz
+/// estimate (used to warm-start the next call) and the iterations run.
 fn update_l(
     bt_target: &Matrix,
     b: &Matrix,
@@ -941,7 +952,7 @@ fn update_l(
     feasible: Feasible<'_>,
     nesterov: &NesterovConfig,
     lipschitz_warm_start: f64,
-) -> (Matrix, f64) {
+) -> (Matrix, f64, usize) {
     let btb = ops::gram(b); // BᵀB, r×r
 
     // G and ∇G share the product BᵀB·L.
@@ -964,7 +975,7 @@ fn update_l(
         ..nesterov.clone()
     };
     let result = nesterov_projected(objective, value_and_gradient, project, l0.clone(), &cfg);
-    (result.x, result.lipschitz)
+    (result.x, result.lipschitz, result.iterations)
 }
 
 /// Detects rows of `L` whose direction has died (row of `L` and matching

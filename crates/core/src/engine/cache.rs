@@ -76,6 +76,9 @@ pub(crate) struct CachedStrategy {
     /// Columns the ALM solved over (`None` exactly when `alm_iterations`
     /// is).
     pub solved_cols: Option<usize>,
+    /// Nesterov iterations of that compile (`None` exactly when
+    /// `alm_iterations` is).
+    pub nesterov_iterations: Option<usize>,
     /// Closed-form expected average error at the engine's reference ε,
     /// computed once at insert so cache hits pay no error evaluation.
     pub expected_avg_error: f64,
@@ -271,6 +274,16 @@ impl StrategyCache {
             profile,
             decomposition,
         });
+    }
+
+    /// The decomposition the similarity index holds for `key`.
+    #[cfg(test)]
+    pub fn resident_decomposition(&self, key: &CacheKey) -> Option<Arc<WorkloadDecomposition>> {
+        let coordinates = (key.0.as_u64(), key.1, key.2);
+        let sim = self.sim.lock().expect("sim lock");
+        sim.iter()
+            .find(|e| (e.fingerprint, e.kind, e.digest) == coordinates)
+            .map(|e| Arc::clone(&e.decomposition))
     }
 
     /// Nearest decomposition in memory usable as a warm-start seed for

@@ -310,6 +310,7 @@ impl Engine {
             strategy_rank,
             alm_iterations: solve.map(|s| s.outer_iterations),
             solved_cols: solve.map(|s| s.solved_cols),
+            nesterov_iterations: solve.map(|s| s.nesterov_iterations),
             mechanism,
         };
         self.cache.insert(key, cached.clone());
@@ -401,6 +402,7 @@ impl Engine {
                 strategy_rank: cached.strategy_rank,
                 alm_iterations: cached.alm_iterations,
                 solved_cols: cached.solved_cols,
+                nesterov_iterations: cached.nesterov_iterations,
                 warm_start,
                 expected_avg_error: cached.expected_avg_error,
                 reference_eps: self.reference_eps,
@@ -494,6 +496,10 @@ pub struct CompileMeta {
     /// Columns the ALM solved over — the distinct columns of the workload
     /// (`None` whenever [`CompileMeta::alm_iterations`] is).
     pub solved_cols: Option<usize>,
+    /// Nesterov (Algorithm 2) iterations the compile ran, summed over
+    /// every L-step (`None` whenever [`CompileMeta::alm_iterations`] is).
+    /// Like the outer count it depends on the workload alone.
+    pub nesterov_iterations: Option<usize>,
     /// Present iff the compile was seeded by a similar cached strategy.
     pub warm_start: Option<WarmStartProvenance>,
     /// Closed-form expected **average** squared error at
@@ -625,7 +631,7 @@ mod tests {
     use lrm_dp::rng::derive_rng;
     use lrm_workload::generators::{WRange, WRelated, WorkloadGenerator};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
@@ -1113,5 +1119,71 @@ mod tests {
 
         let wm = engine.compile_default(&w, MechanismKind::Wavelet).unwrap();
         assert!(wm.meta().strategy_rank.is_none());
+    }
+
+    /// A grid-snapped batch shaped like the serving benchmark's: `panels`
+    /// dashboards of 8 rows over 64 buckets, every endpoint on a 16-cell
+    /// grid, each panel a prefix histogram one time in four and
+    /// otherwise a set of ranges.
+    fn grid_panel_batch(rng: &mut StdRng, panels: usize) -> Workload {
+        let (n, cuts, rows) = (64, 16, 8);
+        let step = n / cuts;
+        let mut intervals = Vec::new();
+        for _ in 0..panels {
+            let prefixes = rng.gen_range(0..4) == 3;
+            for _ in 0..rows {
+                intervals.push(if prefixes {
+                    (0, rng.gen_range(1..=cuts) * step - 1)
+                } else {
+                    let lo = rng.gen_range(0..cuts);
+                    let hi = rng.gen_range(lo + 1..=cuts);
+                    (lo * step, hi * step - 1)
+                });
+            }
+        }
+        Workload::from_intervals(n, intervals).unwrap()
+    }
+
+    /// The default inner budget (10 Nesterov iterations per L-step)
+    /// against the paper's 40, paired batch by batch over 30 serving-shaped
+    /// batches, each arm through one engine so warm starts happen as in
+    /// serving. One workload alone swings several percent either way with
+    /// the budget; the median ratio over many does not.
+    #[test]
+    fn default_nesterov_budget_keeps_the_error_at_a_third_of_the_work() {
+        use crate::decomposition::DecompositionConfig;
+        let paper = CompileOptions::with_decomposition(DecompositionConfig {
+            nesterov: lrm_opt::NesterovConfig {
+                max_iters: 40,
+                ..lrm_opt::NesterovConfig::default()
+            },
+            ..DecompositionConfig::default()
+        });
+        let arms = [CompileOptions::default(), paper];
+        let engines = [Engine::builder().build(), Engine::builder().build()];
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut ratios = Vec::new();
+        let mut inner = [0usize; 2];
+        for _ in 0..30 {
+            let panels = rng.gen_range(2..=4);
+            let w = grid_panel_batch(&mut rng, panels);
+            let mut errors = [0.0; 2];
+            for (arm, (engine, options)) in engines.iter().zip(&arms).enumerate() {
+                let kind = MechanismKind::Lrm;
+                let compiled = engine.compile(&w, kind, options).unwrap();
+                let key = (w.fingerprint(), kind, options.digest(kind));
+                let d = engine.cache.resident_decomposition(&key).unwrap();
+                let gamma = options.decomposition.gamma;
+                assert!(d.stats().residual <= gamma, "τ = {}", d.stats().residual);
+                assert!(d.sensitivity() <= 1.0 + 1e-9, "Δ = {}", d.sensitivity());
+                inner[arm] += compiled.meta().nesterov_iterations.unwrap();
+                errors[arm] = compiled.meta().expected_avg_error;
+            }
+            ratios.push(errors[0] / errors[1]);
+        }
+        ratios.sort_by(f64::total_cmp);
+        let median = ratios[ratios.len() / 2];
+        assert!(median <= 1.03, "median error ratio {median}: {ratios:?}");
+        assert!(3 * inner[0] <= inner[1], "Nesterov iterations {inner:?}");
     }
 }

@@ -1,7 +1,8 @@
 //! Ablation studies on Algorithm 1's design choices (DESIGN.md §8):
 //!
 //! * β growth factor and doubling period (the paper fixes ×2 every 10);
-//! * inner-solver budget: Algorithm 2's acceleration vs a starved budget
+//! * inner-solver budget: the paper's 40 Nesterov iterations per L-step,
+//!   the library's serving default of 10, and a starved budget of 5
 //!   (effectively plain projected gradient, ref \[10\] vs ref \[23\]);
 //! * the feasibility polish (this reproduction's addition) on vs off;
 //! * dead-direction revival on larger-than-rank targets;
@@ -11,6 +12,8 @@
 
 use crate::experiments::sweep::format_err;
 use crate::experiments::ExperimentContext;
+use crate::mechanisms::lrm_config;
+use crate::params;
 use crate::report::{CsvRecord, TableWriter};
 use lrm_core::decomposition::{DecompositionConfig, WorkloadDecomposition};
 use lrm_core::mechanism::Mechanism;
@@ -29,11 +32,15 @@ struct Variant {
 }
 
 fn variants() -> Vec<Variant> {
-    let base = DecompositionConfig::default();
+    let base = lrm_config(params::DEFAULT_GAMMA, params::DEFAULT_RANK_RATIO);
     vec![
         Variant {
             name: "paper (x2/10, nesterov40, polish)",
             config: base.clone(),
+        },
+        Variant {
+            name: "serving default (nesterov10)",
+            config: DecompositionConfig::default(),
         },
         Variant {
             name: "slow beta (x1.3/10)",

@@ -18,7 +18,7 @@ mod sweep;
 pub mod warm_start;
 
 use crate::params;
-use lrm_core::decomposition::{DecompositionConfig, TargetRank};
+use lrm_core::decomposition::DecompositionConfig;
 use lrm_core::engine::Engine;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -153,21 +153,13 @@ impl ExperimentContext {
         n: usize,
     ) -> DecompositionConfig {
         let size = m * n;
-        let base = DecompositionConfig {
-            gamma,
-            target_rank: TargetRank::RatioOfRank(rank_ratio),
-            ..DecompositionConfig::default()
-        };
+        let base = crate::mechanisms::lrm_config(gamma, rank_ratio);
         if size <= 1 << 14 {
             base
         } else if size <= 1 << 18 {
             DecompositionConfig {
                 max_outer_iters: 80,
                 inner_alternations: 4,
-                nesterov: lrm_opt::NesterovConfig {
-                    max_iters: 40,
-                    ..lrm_opt::NesterovConfig::default()
-                },
                 ..base
             }
         } else {

@@ -4,7 +4,9 @@
 //! re-exports it and names the paper's figure panels, plus the LRM
 //! configuration shorthand the experiments share.
 
+use crate::params::PAPER_NESTEROV_ITERS;
 use lrm_core::decomposition::{DecompositionConfig, TargetRank};
+use lrm_opt::NesterovConfig;
 
 pub use lrm_core::engine::{CompileOptions, MechanismKind};
 
@@ -26,11 +28,16 @@ pub const FIG7_SET: [MechanismKind; 4] = [
     MechanismKind::Lrm,
 ];
 
-/// LRM configuration with the harness defaults for a given (γ, r-ratio).
+/// LRM configuration with the harness defaults for a given (γ, r-ratio):
+/// the library defaults at the paper's inner budget.
 pub fn lrm_config(gamma: f64, rank_ratio: f64) -> DecompositionConfig {
     DecompositionConfig {
         gamma,
         target_rank: TargetRank::RatioOfRank(rank_ratio),
+        nesterov: NesterovConfig {
+            max_iters: PAPER_NESTEROV_ITERS,
+            ..NesterovConfig::default()
+        },
         ..DecompositionConfig::default()
     }
 }

@@ -61,6 +61,11 @@ pub const DEFAULT_QUERIES_QUICK: usize = 64;
 /// Default s-ratio for WRelated.
 pub const DEFAULT_S_RATIO: f64 = 0.2;
 
+/// Nesterov iterations per L-step (Algorithm 2) in the figure harness.
+/// The library default of 10 is sized for serving; the figures pin 40 so
+/// that their results do not move with that default.
+pub const PAPER_NESTEROV_ITERS: usize = 40;
+
 /// Monte-Carlo trials per cell (the paper runs 20).
 pub const DEFAULT_TRIALS: usize = 20;
 

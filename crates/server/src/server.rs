@@ -890,6 +890,9 @@ impl Server {
             if let Some(iters) = meta.alm_iterations {
                 compile_span.record("alm_iterations", iters);
             }
+            if let Some(iters) = meta.nesterov_iterations {
+                compile_span.record("nesterov_iterations", iters);
+            }
             if let Some(cols) = meta.solved_cols {
                 compile_span.record("solved_cols", cols);
             }

@@ -57,6 +57,7 @@ const ALLOWED_KEYS: &[&str] = &[
     "compile_seconds",
     "strategy_rank",
     "alm_iterations",
+    "nesterov_iterations",
     "solved_cols",
     "warm_seed_fingerprint",
     "warm_profile_distance",
@@ -286,6 +287,11 @@ fn serve_traces_decompose_latency_and_carry_no_data() {
             get_u64(compile, "alm_iterations").is_some(),
             get_u64(compile, "solved_cols").is_some(),
             "every ALM solve reports the columns it solved over"
+        );
+        assert_eq!(
+            get_u64(compile, "alm_iterations").is_some(),
+            get_u64(compile, "nesterov_iterations").is_some(),
+            "every ALM solve reports its inner iterations"
         );
     }
     assert!(
