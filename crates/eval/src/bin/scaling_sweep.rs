@@ -3,193 +3,97 @@
 //!
 //! ```text
 //! scaling_sweep [--family prefix|range|coarse] [--queries M] [--dense-cap N]
-//!               [--sizes N1,N2,...] [--seed S] [--out PATH] [--quiet]
-//! scaling_sweep --smoke [--budget-seconds S]
+//!               [--sizes N1,N2,...] [--seed S] [--quiet]
+//! scaling_sweep --smoke [--budget-seconds S] [--quiet]
 //! ```
 //!
+//! Every run prints one result line (see `lrm_eval::report::Verdict`) and
+//! exits 1 if and only if a check of
+//! [`ScalingReport::gate`](lrm_eval::experiments::scaling::ScalingReport::gate)
+//! failed, each named on stderr as `FAIL: <check>`: no structured
+//! compile may densify its workload — the implicit fast path must not
+//! silently fall back to a dense `W`.
+//!
 //! `--smoke` runs the CI regression gate: one n = 4096 prefix compile on
-//! the structured path, asserting (a) **zero operator densifications** —
-//! the implicit fast path must not silently fall back to a dense `W` —
-//! and (b) a wall-time budget (default 120 s), so a regression to
-//! densification or dense-path costs fails the job rather than just
-//! slowing it down. The smoke runs in its own process, which is what
-//! makes the global densification counter assertable.
+//! the structured path, which must also finish within a wall-time budget
+//! (`--budget-seconds`, default 120 s), so a regression to densification
+//! or dense-path costs fails the job rather than just slowing it down.
+//! The smoke runs in its own process, which is what makes the global
+//! densification counter assertable.
 
+use lrm_eval::cli::GateArgs;
 use lrm_eval::experiments::scaling::{run_scaling_sweep, ScalingConfig, ScalingFamily};
-use lrm_eval::fail;
-use std::path::PathBuf;
+use lrm_eval::info;
 use std::process::ExitCode;
-
-struct Args {
-    cfg: ScalingConfig,
-    out: Option<PathBuf>,
-    smoke: bool,
-    budget_seconds: f64,
-    /// Sweep-shaping flags seen on the command line; `--smoke` uses a
-    /// pinned configuration and refuses these rather than silently
-    /// ignoring them.
-    sweep_flags: Vec<&'static str>,
-    /// Whether `--budget-seconds` was passed; only `--smoke` enforces a
-    /// budget, so a non-smoke run refuses it rather than silently
-    /// ignoring it.
-    saw_budget: bool,
-}
-
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut out = Args {
-        cfg: ScalingConfig::default(),
-        out: None,
-        smoke: false,
-        budget_seconds: 120.0,
-        sweep_flags: Vec::new(),
-        saw_budget: false,
-    };
-    while let Some(arg) = args.next() {
-        // Each sweep-shaping arm records itself in `sweep_flags` so the
-        // `--smoke` conflict check can never drift out of sync with the
-        // flags that actually exist.
-        match arg.as_str() {
-            "--smoke" => out.smoke = true,
-            "--quiet" => out.cfg.quiet = true,
-            "--family" => {
-                out.sweep_flags.push("--family");
-                let v = args.next().ok_or("--family needs prefix|range|coarse")?;
-                out.cfg.family = match v.as_str() {
-                    "prefix" => ScalingFamily::Prefix,
-                    "range" => ScalingFamily::Range,
-                    "coarse" => ScalingFamily::RangeCoarse,
-                    other => return Err(format!("unknown family: {other}")),
-                };
-            }
-            "--queries" => {
-                out.sweep_flags.push("--queries");
-                let v = args.next().ok_or("--queries needs a value")?;
-                out.cfg.queries = v.parse().map_err(|_| format!("bad --queries: {v}"))?;
-            }
-            "--dense-cap" => {
-                out.sweep_flags.push("--dense-cap");
-                let v = args.next().ok_or("--dense-cap needs a value")?;
-                out.cfg.dense_cap = v.parse().map_err(|_| format!("bad --dense-cap: {v}"))?;
-            }
-            "--sizes" => {
-                out.sweep_flags.push("--sizes");
-                let v = args.next().ok_or("--sizes needs a comma list")?;
-                out.cfg.domain_sizes = v
-                    .split(',')
-                    .map(|s| s.trim().parse().map_err(|_| format!("bad size: {s}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--seed" => {
-                out.sweep_flags.push("--seed");
-                let v = args.next().ok_or("--seed needs a value")?;
-                out.cfg.seed = v.parse().map_err(|_| format!("bad --seed: {v}"))?;
-            }
-            "--out" => {
-                out.sweep_flags.push("--out");
-                let v = args.next().ok_or("--out needs a path")?;
-                out.out = Some(PathBuf::from(v));
-            }
-            "--budget-seconds" => {
-                out.saw_budget = true;
-                let v = args.next().ok_or("--budget-seconds needs a value")?;
-                out.budget_seconds = v.parse().map_err(|_| format!("bad budget: {v}"))?;
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument: {other} (try --smoke, --family, --queries, --dense-cap, --sizes, --seed, --out, --quiet, --budget-seconds)"
-                ))
-            }
-        }
-    }
-    Ok(out)
-}
 
 /// Binary name for progress routing (see `lrm_eval::progress`).
 const BIN: &str = "scaling_sweep";
 
 fn main() -> ExitCode {
     lrm_eval::progress::init_tracing(BIN);
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(e) => {
-            fail!(BIN, "scaling_sweep: {e}");
-            return ExitCode::FAILURE;
-        }
+    let mut cfg = ScalingConfig::default();
+    let args = match GateArgs::parse(
+        BIN,
+        std::env::args().skip(1),
+        &[],
+        true,
+        "--smoke, --family, --queries, --dense-cap, --sizes, --seed, --quiet, \
+         --budget-seconds",
+        |flag, v| {
+            match flag {
+                "--family" => {
+                    cfg.family = match v.value::<String>(flag)?.as_str() {
+                        "prefix" => ScalingFamily::Prefix,
+                        "range" => ScalingFamily::Range,
+                        "coarse" => ScalingFamily::RangeCoarse,
+                        other => return Err(format!("unknown family: {other}")),
+                    }
+                }
+                "--queries" => cfg.queries = v.value(flag)?,
+                "--dense-cap" => cfg.dense_cap = v.value(flag)?,
+                "--sizes" => {
+                    cfg.domain_sizes = v
+                        .value::<String>(flag)?
+                        .split(',')
+                        .map(|s| s.trim().parse().map_err(|_| format!("bad size: {s}")))
+                        .collect::<Result<_, _>>()?
+                }
+                "--seed" => cfg.seed = v.value(flag)?,
+                _ => return Ok(false),
+            }
+            Ok(true)
+        },
+    ) {
+        Ok(args) => args,
+        Err(code) => return code,
     };
-
     if args.smoke {
-        // The smoke gate is a pinned configuration; refuse sweep-shaping
-        // flags instead of silently ignoring them.
-        if !args.sweep_flags.is_empty() {
-            fail!(
-                BIN,
-                "scaling_sweep: --smoke runs a pinned n=4096 prefix config and does not accept {}",
-                args.sweep_flags.join(", ")
-            );
-            return ExitCode::FAILURE;
-        }
         // CI gate: n = 4096 prefix, structured path only, modest m so the
         // whole run stays well inside the budget on one CPU.
-        let cfg = ScalingConfig {
+        cfg = ScalingConfig {
             domain_sizes: vec![4096],
             queries: 64,
             family: ScalingFamily::Prefix,
-            dense_cap: 0, // structured path only
-            quiet: args.cfg.quiet,
+            dense_cap: 0,
             ..ScalingConfig::default()
         };
-        let report = run_scaling_sweep(&cfg);
-        let p = &report.points[0];
-        println!(
-            "smoke: n={} compiled in {:.3}s ({} densifications, rank {})",
-            p.n, p.structured_seconds, p.densifications, p.structured_rank
-        );
-        if p.densifications != 0 {
-            fail!(
-                BIN,
-                "FAIL: structured compile densified the workload {} time(s)",
-                p.densifications
-            );
-            return ExitCode::FAILURE;
-        }
-        if p.structured_seconds > args.budget_seconds {
-            fail!(
-                BIN,
-                "FAIL: structured compile took {:.3}s > budget {:.1}s",
-                p.structured_seconds,
-                args.budget_seconds
-            );
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
     }
+    cfg.quiet = args.quiet;
 
-    if args.saw_budget {
-        fail!(
-            BIN,
-            "scaling_sweep: --budget-seconds only applies to --smoke"
-        );
-        return ExitCode::FAILURE;
-    }
-    let report = run_scaling_sweep(&args.cfg);
-    match report.structured_strictly_faster_from(1024) {
-        Some(verdict) => {
-            println!("structured strictly faster than dense at every measured n >= 1024: {verdict}")
+    let report = run_scaling_sweep(&cfg);
+    if !args.smoke {
+        match report.structured_strictly_faster_from(1024) {
+            Some(verdict) => info!(
+                BIN,
+                "structured strictly faster than dense at every measured n >= 1024: {verdict}"
+            ),
+            None => info!(BIN, "no dense comparison at n >= 1024 (dense path capped)"),
         }
-        None => println!("no dense comparison at n >= 1024 (dense path capped)"),
     }
-    let label = format!(
-        "domain scaling sweep, {} m={} (structured vs dense LRM compile)",
-        report.family, report.queries
-    );
-    if let Some(path) = &args.out {
-        if let Err(e) = report.write(path, &label) {
-            fail!(BIN, "scaling_sweep: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("report written to {}", path.display());
-    } else {
-        println!("{}", report.to_json(&label));
-    }
-    ExitCode::SUCCESS
+    report
+        .gate(
+            args.budget_seconds
+                .unwrap_or(if args.smoke { 120.0 } else { f64::INFINITY }),
+        )
+        .finish(BIN)
 }

@@ -36,6 +36,7 @@
 //!    within twice the compile deadline.
 
 use crate::experiments::scaling::scaling_lrm_config;
+use crate::report::Verdict;
 use lrm_core::engine::{CompileOptions, MechanismKind, NoiseFlavor};
 use lrm_dp::rng::derive_rng;
 use lrm_dp::{Budget, Epsilon};
@@ -296,51 +297,39 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// The acceptance gate over every invariant.
-    pub fn passes(&self) -> bool {
-        self.answered > 0
-            && self.unresolved_tickets == 0
-            && self.duplicate_releases == 0
-            && self.unexpected_errors == 0
-            && self.overspent_tenants == 0
-            && self.undercounted_tenants == 0
-            && self.delta_overspent_tenants == 0
-            && self.delta_undercounted_tenants == 0
-            && self.starved_cycles == 0
-            && self.latency_violations == 0
-            && (!self.failpoints_active || self.missed_faults == 0)
-            && self.missing_postmortems == 0
-    }
-
-    /// One-line summary for logs.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} cycles (failpoints {}): {} answered, {} refused, {} quarantined, {} degraded, \
-             {} respawns, {} replays, {} postmortems; invariants — unresolved {}, duplicates {}, \
-             unexpected {}, overspent {}/{}δ, undercounted {}/{}δ, starved {}, slow-degraded {}, \
-             missed-faults {}, missing-postmortems {} => {}",
-            self.cycles,
-            if self.failpoints_active { "on" } else { "off" },
-            self.answered,
-            self.refused,
-            self.quarantined,
-            self.degraded,
-            self.worker_respawns,
-            self.ledger_replays,
-            self.postmortems,
-            self.unresolved_tickets,
-            self.duplicate_releases,
-            self.unexpected_errors,
-            self.overspent_tenants,
-            self.delta_overspent_tenants,
-            self.undercounted_tenants,
-            self.delta_undercounted_tenants,
-            self.starved_cycles,
-            self.latency_violations,
-            self.missed_faults,
-            self.missing_postmortems,
-            if self.passes() { "PASS" } else { "FAIL" },
-        )
+    /// The acceptance gate over every invariant. A missed fault counts
+    /// only when failpoints were armed.
+    pub fn gate(&self) -> Verdict {
+        let mut v = Verdict::default();
+        v.check("answered", self.answered > 0)
+            .check("every_ticket_resolved", self.unresolved_tickets == 0)
+            .check("no_duplicate_release", self.duplicate_releases == 0)
+            .check("no_unexpected_error", self.unexpected_errors == 0)
+            .check("no_eps_overspend", self.overspent_tenants == 0)
+            .check("no_eps_undercount", self.undercounted_tenants == 0)
+            .check("no_delta_overspend", self.delta_overspent_tenants == 0)
+            .check("no_delta_undercount", self.delta_undercounted_tenants == 0)
+            .check("no_starved_cycle", self.starved_cycles == 0)
+            .check("degraded_within_2x_deadline", self.latency_violations == 0)
+            .check(
+                "every_fault_surfaced",
+                !self.failpoints_active || self.missed_faults == 0,
+            )
+            .check("every_panic_dumped", self.missing_postmortems == 0);
+        for (name, value) in [
+            ("cycles", self.cycles as u64),
+            ("failpoints_active", u64::from(self.failpoints_active)),
+            ("answered", self.answered),
+            ("refused", self.refused),
+            ("quarantined", self.quarantined),
+            ("degraded", self.degraded),
+            ("worker_respawns", self.worker_respawns),
+            ("ledger_replays", self.ledger_replays),
+            ("postmortems", self.postmortems),
+        ] {
+            v.metric(name, value as f64, "count");
+        }
+        v
     }
 }
 
@@ -732,9 +721,9 @@ mod tests {
         };
         let report = run_chaos(&cfg);
         assert!(
-            report.passes(),
-            "chaos invariants failed: {}",
-            report.summary()
+            report.gate().passed(),
+            "chaos invariants failed: {:?}",
+            report.gate().failed
         );
         assert!(!report.failpoints_active);
         assert!(report.answered > 0);
@@ -769,9 +758,9 @@ mod tests {
         };
         let report = run_chaos(&cfg);
         assert!(
-            report.passes(),
-            "gaussian chaos invariants failed: {}",
-            report.summary()
+            report.gate().passed(),
+            "gaussian chaos invariants failed: {:?}",
+            report.gate().failed
         );
         assert!(report.answered > 0);
         assert!(report.refused > 0, "the small tenant never exhausted");

@@ -37,25 +37,21 @@
 //! *entire* trace (the tenant budgets are sized so no request is
 //! refused), which makes throughput and tail latency directly
 //! comparable: same requests, same grants, same noise discipline, zero
-//! ε/δ over-spend tolerated. The gate
-//! ([`EventedReport::passes_smoke`]) requires the evented run to hold
-//! ≥ `target_in_flight` requests in flight server-side, to sustain
-//! strictly higher throughput *and* strictly lower p99 latency than the
-//! blocking driver, and to actually spread load across ≥ 2 scheduler
-//! shards with bounded imbalance.
+//! ε/δ over-spend tolerated. Both runs build their servers and fold
+//! their outcomes through the serving harness's driver
+//! ([`crate::experiments::serving`]). The gate ([`EventedReport::gate`])
+//! requires the evented run to hold ≥ `target_in_flight` requests in
+//! flight server-side, to sustain strictly higher throughput *and*
+//! strictly lower p99 latency than the blocking driver, and to actually
+//! spread load across ≥ 2 scheduler shards with bounded imbalance.
 
-use crate::experiments::scaling::scaling_lrm_config;
 use crate::experiments::serving::{
-    build_trace, ServingConfig, ServingRunStats, Trace, TraceRequest,
+    build_server, build_trace, serve_trace, ClientOutcome, ServingConfig, ServingMode,
+    ServingRunStats, Trace, TraceRequest,
 };
-use crate::report::TableWriter;
-use lrm_core::engine::{CompileOptions, Engine, MechanismKind, NoiseFlavor};
-use lrm_dp::{Budget, Epsilon};
-use lrm_linalg::operator::densification_count;
-use lrm_server::{Client, Server, ServerError, ServerReport, Ticket, TicketSet};
+use crate::report::{TableWriter, Verdict};
+use lrm_server::{Client, Ticket, TicketSet};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Configuration of the evented-vs-blocking comparison.
@@ -128,10 +124,6 @@ impl EventedConfig {
 pub struct EventedRunStats {
     /// The common counters, measured exactly as the blocking run's.
     pub stats: ServingRunStats,
-    /// Driver threads that drove the run.
-    pub driver_threads: usize,
-    /// Scheduler shards of the run's server.
-    pub shards: usize,
     /// Batches a worker claimed from another shard's flush queue.
     pub stolen_batches: u64,
     /// Peak submitted-but-unanswered requests per shard (index = shard).
@@ -163,173 +155,6 @@ impl EventedRunStats {
     }
 }
 
-/// Per-driver-thread accumulation (one per blocking client thread or
-/// evented driver thread).
-#[derive(Debug, Default, Clone)]
-struct DriverOutcome {
-    granted_per_tenant: Vec<f64>,
-    granted_delta_per_tenant: Vec<f64>,
-    answered: u64,
-    rejected: u64,
-    queries: u64,
-    sq_err: f64,
-    /// Client-observed submit-to-completion latency of every granted
-    /// request, in microseconds (the clock starts just before the
-    /// submit call and stops when the driver observes the completion).
-    latencies_us: Vec<u64>,
-}
-
-impl DriverOutcome {
-    fn for_tenants(tenants: usize) -> Self {
-        DriverOutcome {
-            granted_per_tenant: vec![0.0; tenants],
-            granted_delta_per_tenant: vec![0.0; tenants],
-            ..DriverOutcome::default()
-        }
-    }
-
-    /// Fold one completion into the tallies.
-    fn record(
-        &mut self,
-        req: &TraceRequest,
-        outcome: Result<lrm_server::Release, ServerError>,
-        latency: Duration,
-    ) {
-        match outcome {
-            Ok(release) => {
-                self.latencies_us.push(latency.as_micros() as u64);
-                self.granted_per_tenant[req.tenant] += release.eps_spent.value();
-                self.granted_delta_per_tenant[req.tenant] += release.delta_spent;
-                self.answered += 1;
-                self.queries += release.answers.len() as u64;
-                self.sq_err += release
-                    .answers
-                    .iter()
-                    .zip(&req.exact)
-                    .map(|(a, e)| (a - e) * (a - e))
-                    .sum::<f64>();
-            }
-            Err(ServerError::Admission(_)) => self.rejected += 1,
-            Err(e) => panic!("unexpected serving failure: {e}"),
-        }
-    }
-}
-
-/// Builds one serving run's server: same engine/mechanism/scheduler
-/// shape in both modes, only the shard count differs.
-fn build_server(scfg: &ServingConfig, trace: &Trace, shards: usize) -> Server {
-    let mut options = CompileOptions::with_decomposition(scaling_lrm_config());
-    if scfg.is_gaussian() {
-        options.flavor = NoiseFlavor::ApproxDp;
-    }
-    // A fresh engine, like every serving run: cold strategy cache.
-    let server = Server::builder(trace.schema.clone(), trace.data.clone())
-        .engine(Engine::builder().build())
-        .mechanism(MechanismKind::Lrm)
-        .compile_options(options)
-        .coalesce_window(scfg.window)
-        .max_batch(scfg.max_batch)
-        .workers(scfg.workers)
-        .rank_close(scfg.rank_close)
-        .shards(shards)
-        .seed(scfg.seed)
-        .build()
-        .expect("valid server configuration");
-    let budget_eps = Epsilon::new(scfg.tenant_budget).expect("positive budget");
-    let budget = if scfg.is_gaussian() {
-        Budget::approx(budget_eps, scfg.tenant_delta).expect("valid tenant delta")
-    } else {
-        Budget::pure(budget_eps)
-    };
-    for t in 0..scfg.tenants {
-        server.register_tenant_budget(&ServingConfig::tenant_name(t), budget);
-    }
-    server
-}
-
-/// Folds driver outcomes and the server report into the shared stats
-/// shape, checking the observed grants against the registered budgets.
-fn collect_stats(
-    mode: &'static str,
-    scfg: &ServingConfig,
-    outcomes: &[DriverOutcome],
-    report: &ServerReport,
-    wall_seconds: f64,
-    densifications: u64,
-) -> ServingRunStats {
-    let mut granted = vec![0.0f64; scfg.tenants];
-    let mut granted_delta = vec![0.0f64; scfg.tenants];
-    let mut answered = 0u64;
-    let mut rejected = 0u64;
-    let mut queries = 0u64;
-    let mut sq_err = 0.0f64;
-    let mut latencies: Vec<u64> = Vec::new();
-    for o in outcomes {
-        latencies.extend_from_slice(&o.latencies_us);
-        for (g, total) in o.granted_per_tenant.iter().zip(granted.iter_mut()) {
-            *total += g;
-        }
-        for (g, total) in o
-            .granted_delta_per_tenant
-            .iter()
-            .zip(granted_delta.iter_mut())
-        {
-            *total += g;
-        }
-        answered += o.answered;
-        rejected += o.rejected;
-        queries += o.queries;
-        sq_err += o.sq_err;
-    }
-    let overspend = granted
-        .iter()
-        .any(|&g| g > scfg.tenant_budget * (1.0 + 1e-9) + 1e-12);
-    let delta_overspend = granted_delta
-        .iter()
-        .any(|&g| g > scfg.tenant_delta * (1.0 + 1e-9) + 1e-18);
-    // Exact percentiles over the client-observed latencies (the
-    // server-side histogram can't see the front end's own delays —
-    // thread wakeups, harvest loops — which are the whole point here).
-    latencies.sort_unstable();
-    let percentile = |q: f64| -> f64 {
-        if latencies.is_empty() {
-            return 0.0;
-        }
-        let idx = ((latencies.len() - 1) as f64 * q).ceil() as usize;
-        latencies[idx] as f64 / 1e3
-    };
-    let p50_latency_ms = percentile(0.50);
-    let p99_latency_ms = percentile(0.99);
-
-    ServingRunStats {
-        mode,
-        wall_seconds,
-        answered,
-        rejected,
-        queries_answered: queries,
-        requests_per_second: answered as f64 / wall_seconds.max(1e-9),
-        queries_per_second: queries as f64 / wall_seconds.max(1e-9),
-        mean_squared_error: if queries > 0 {
-            sq_err / queries as f64
-        } else {
-            0.0
-        },
-        batches: report.metrics.batches,
-        coalesced_batches: report.metrics.coalesced_batches,
-        mean_occupancy: report.metrics.mean_occupancy,
-        max_occupancy: report.metrics.max_occupancy,
-        cache_misses: report.cache.misses,
-        cache_hits: report.cache.memory_hits,
-        peak_queue_depth: report.metrics.peak_queue_depth,
-        p50_latency_ms,
-        p99_latency_ms,
-        overspend,
-        delta_overspend,
-        cross_eps_batches: report.metrics.cross_eps_batches,
-        densifications,
-    }
-}
-
 /// Replays the trace through the legacy front end: a single-shard
 /// server, one OS thread per virtual client, each holding a `burst`-deep
 /// pipeline of blocking tickets. The client threads run on small stacks
@@ -338,38 +163,29 @@ fn collect_stats(
 /// threads, which is exactly what the comparison measures.
 pub fn run_blocking_mode(cfg: &EventedConfig, trace: &Trace) -> ServingRunStats {
     let scfg = &cfg.serving;
-    let server = build_server(scfg, trace, 1);
-    let densify_before = densification_count();
-    let t0 = Instant::now();
-    let (outcomes, report) = server.serve(|client| {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = trace
-                .per_client
-                .iter()
-                .map(|requests| {
-                    let client = client.clone();
-                    std::thread::Builder::new()
-                        .stack_size(128 * 1024)
-                        .spawn_scoped(s, move || drive_blocking(&client, requests, scfg))
-                        .expect("spawn blocking client thread")
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .collect::<Vec<DriverOutcome>>()
+    let server = build_server(scfg, trace, ServingMode::Coalescing, 1);
+    let (stats, _) = serve_trace(scfg, "blocking", || {
+        server.serve(|client| {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = trace
+                    .per_client
+                    .iter()
+                    .map(|requests| {
+                        let client = client.clone();
+                        std::thread::Builder::new()
+                            .stack_size(128 * 1024)
+                            .spawn_scoped(s, move || drive_blocking(&client, requests, scfg))
+                            .expect("spawn blocking client thread")
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("client thread"))
+                    .collect()
+            })
         })
     });
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    let densifications = densification_count() - densify_before;
-    collect_stats(
-        "blocking",
-        scfg,
-        &outcomes,
-        &report,
-        wall_seconds,
-        densifications,
-    )
+    stats
 }
 
 /// One blocking client: keep `burst` tickets outstanding, block on the
@@ -379,9 +195,9 @@ fn drive_blocking(
     client: &Client<'_>,
     requests: &[TraceRequest],
     cfg: &ServingConfig,
-) -> DriverOutcome {
+) -> ClientOutcome {
     let window = cfg.burst.max(1);
-    let mut out = DriverOutcome::for_tenants(cfg.tenants);
+    let mut out = ClientOutcome::new(cfg);
     let mut pending: VecDeque<(usize, Instant, Ticket)> = VecDeque::with_capacity(window);
     let mut next = 0usize;
     loop {
@@ -408,38 +224,25 @@ fn drive_blocking(
 /// evented drivers.
 pub fn run_evented_mode(cfg: &EventedConfig, trace: &Trace) -> EventedRunStats {
     let scfg = &cfg.serving;
-    let server = build_server(scfg, trace, cfg.shards);
-    let densify_before = densification_count();
-    let t0 = Instant::now();
-    let (outcomes, report) = server.serve(|client| {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..cfg.driver_threads)
-                .map(|d| {
-                    let client = client.clone();
-                    s.spawn(move || drive_evented(&client, trace, scfg, d, cfg.driver_threads))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("driver thread"))
-                .collect::<Vec<DriverOutcome>>()
+    let server = build_server(scfg, trace, ServingMode::Coalescing, cfg.shards);
+    let (stats, report) = serve_trace(scfg, "evented", || {
+        server.serve(|client| {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..cfg.driver_threads)
+                    .map(|d| {
+                        let client = client.clone();
+                        s.spawn(move || drive_evented(&client, trace, scfg, d, cfg.driver_threads))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("driver thread"))
+                    .collect()
+            })
         })
     });
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    let densifications = densification_count() - densify_before;
-
-    let stats = collect_stats(
-        "evented",
-        scfg,
-        &outcomes,
-        &report,
-        wall_seconds,
-        densifications,
-    );
     EventedRunStats {
         stats,
-        driver_threads: cfg.driver_threads,
-        shards: cfg.shards,
         stolen_batches: report.metrics.stolen_batches,
         shard_peak_depths: report.metrics.shard_peak_depths,
     }
@@ -460,7 +263,7 @@ fn drive_evented(
     cfg: &ServingConfig,
     driver: usize,
     drivers: usize,
-) -> DriverOutcome {
+) -> ClientOutcome {
     let vclients: Vec<&Vec<TraceRequest>> = trace
         .per_client
         .iter()
@@ -469,7 +272,7 @@ fn drive_evented(
         .collect();
     let burst = cfg.burst.max(1);
     let set = TicketSet::new();
-    let mut out = DriverOutcome::for_tenants(cfg.tenants);
+    let mut out = ClientOutcome::new(cfg);
     // Per-virtual-client cursor of the next request to submit, and the
     // submit-order log mapping tokens back to (client, request, clock).
     let mut next = vec![0usize; vclients.len()];
@@ -538,129 +341,52 @@ impl EventedReport {
     /// and tail latency, spread load across ≥ 2 shards without a hot
     /// shard, granted exactly what the blocking run granted, and — as
     /// always — zero over-spend and zero densifications anywhere.
-    pub fn passes_smoke(&self) -> bool {
+    pub fn gate(&self) -> Verdict {
         let ev = &self.evented.stats;
         let bl = &self.blocking;
-        self.throughput_gain() > 1.0
-            && self.p99_gain() > 1.0
-            && self.evented.peak_in_flight() >= self.config.target_in_flight
-            && ev.answered == bl.answered
-            && ev.rejected == 0
-            && bl.rejected == 0
-            && !ev.overspend
-            && !bl.overspend
-            && !ev.delta_overspend
-            && !bl.delta_overspend
-            && ev.densifications == 0
-            && bl.densifications == 0
-            && ev.coalesced_batches > 0
-            && self.evented.active_shards() >= 2
-            && self.evented.max_shard_fraction() <= 0.6
-    }
-
-    /// Serializes the report in the repo's `BENCH_*.json` style.
-    pub fn to_json(&self, label: &str) -> String {
-        let scfg = &self.config.serving;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema_version\": 1,");
-        let _ = writeln!(out, "  \"label\": \"{label}\",");
-        let eps_levels = scfg
-            .eps_levels
-            .iter()
-            .map(|e| e.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(
-            out,
-            "  \"config\": {{ \"buckets\": {}, \"cuts\": {}, \"tenants\": {}, \"clients\": {}, \"requests_per_client\": {}, \"spec_queries\": {}, \"window_ms\": {}, \"max_batch\": {}, \"workers\": {}, \"eps_levels\": [{}], \"tenant_budget\": {}, \"seed\": {}, \"shards\": {}, \"driver_threads\": {}, \"target_in_flight\": {} }},",
-            scfg.buckets,
-            scfg.cuts,
-            scfg.tenants,
-            scfg.clients,
-            scfg.requests_per_client,
-            scfg.spec_queries,
-            scfg.window.as_secs_f64() * 1e3,
-            scfg.max_batch,
-            scfg.workers,
-            eps_levels,
-            scfg.tenant_budget,
-            scfg.seed,
-            self.config.shards,
-            self.config.driver_threads,
-            self.config.target_in_flight,
-        );
-        let _ = writeln!(
-            out,
-            "  \"units\": {{ \"throughput\": \"granted requests (and queries) per second\", \"latency\": \"client-observed submit-to-completion milliseconds\", \"in_flight\": \"peak concurrently submitted-but-unanswered requests, measured server-side\" }},"
-        );
-        let _ = writeln!(out, "  \"runs\": [");
-        for (i, run) in [&self.blocking, &self.evented.stats]
-            .into_iter()
-            .enumerate()
-        {
-            let _ = writeln!(
-                out,
-                "    {{ \"mode\": \"{}\", \"wall_seconds\": {:.6}, \"answered\": {}, \"rejected\": {}, \"queries_answered\": {}, \"requests_per_second\": {:.3}, \"queries_per_second\": {:.3}, \"mean_squared_error\": {:.6e}, \"batches\": {}, \"coalesced_batches\": {}, \"mean_occupancy\": {:.3}, \"max_occupancy\": {}, \"cache_misses\": {}, \"cache_hits\": {}, \"peak_queue_depth\": {}, \"p50_latency_ms\": {:.3}, \"p99_latency_ms\": {:.3}, \"overspend\": {}, \"delta_overspend\": {}, \"densifications\": {} }}{}",
-                run.mode,
-                run.wall_seconds,
-                run.answered,
-                run.rejected,
-                run.queries_answered,
-                run.requests_per_second,
-                run.queries_per_second,
-                run.mean_squared_error,
-                run.batches,
-                run.coalesced_batches,
-                run.mean_occupancy,
-                run.max_occupancy,
-                run.cache_misses,
-                run.cache_hits,
-                run.peak_queue_depth,
-                run.p50_latency_ms,
-                run.p99_latency_ms,
-                run.overspend,
-                run.delta_overspend,
-                run.densifications,
-                if i == 0 { "," } else { "" }
-            );
+        let mut v = Verdict::default();
+        v.check("evented_strictly_faster", self.throughput_gain() > 1.0)
+            .check("evented_lower_p99", self.p99_gain() > 1.0)
+            .check(
+                "reached_target_in_flight",
+                self.evented.peak_in_flight() >= self.config.target_in_flight,
+            )
+            .check("same_grants", ev.answered == bl.answered)
+            .check("nothing_refused", ev.rejected == 0 && bl.rejected == 0)
+            .check("no_eps_overspend", !ev.overspend && !bl.overspend)
+            .check(
+                "no_delta_overspend",
+                !ev.delta_overspend && !bl.delta_overspend,
+            )
+            .check(
+                "no_densification",
+                ev.densifications == 0 && bl.densifications == 0,
+            )
+            .check("coalesced_a_batch", ev.coalesced_batches > 0)
+            .check("two_active_shards", self.evented.active_shards() >= 2)
+            .check("shard_balance", self.evented.max_shard_fraction() <= 0.6);
+        let evented = &self.evented;
+        for (metric, value, unit) in [
+            ("throughput_gain", self.throughput_gain(), "ratio"),
+            ("p99_gain", self.p99_gain(), "ratio"),
+            ("peak_in_flight", evented.peak_in_flight() as f64, "count"),
+            ("active_shards", evented.active_shards() as f64, "count"),
+            (
+                "max_shard_fraction",
+                evented.max_shard_fraction(),
+                "fraction",
+            ),
+            ("stolen_batches", evented.stolen_batches as f64, "count"),
+            ("blocking.throughput_rps", bl.requests_per_second, "1/s"),
+            ("blocking.p50_ms", bl.p50_latency_ms, "ms"),
+            ("blocking.p99_ms", bl.p99_latency_ms, "ms"),
+            ("evented.throughput_rps", ev.requests_per_second, "1/s"),
+            ("evented.p50_ms", ev.p50_latency_ms, "ms"),
+            ("evented.p99_ms", ev.p99_latency_ms, "ms"),
+        ] {
+            v.metric(metric, value, unit);
         }
-        let _ = writeln!(out, "  ],");
-        let peaks = self
-            .evented
-            .shard_peak_depths
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(
-            out,
-            "  \"evented\": {{ \"peak_in_flight\": {}, \"shard_peak_depths\": [{}], \"active_shards\": {}, \"max_shard_fraction\": {:.3}, \"stolen_batches\": {} }},",
-            self.evented.peak_in_flight(),
-            peaks,
-            self.evented.active_shards(),
-            self.evented.max_shard_fraction(),
-            self.evented.stolen_batches,
-        );
-        let _ = writeln!(
-            out,
-            "  \"comparison\": {{ \"throughput_gain\": {:.3}, \"p99_gain\": {:.3}, \"strictly_faster\": {}, \"strictly_lower_p99\": {}, \"passes_smoke\": {} }}",
-            self.throughput_gain(),
-            self.p99_gain(),
-            self.throughput_gain() > 1.0,
-            self.p99_gain() > 1.0,
-            self.passes_smoke(),
-        );
-        out.push('}');
-        out.push('\n');
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    pub fn write(&self, path: &Path, label: &str) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json(label))
+        v
     }
 }
 
@@ -773,11 +499,8 @@ mod tests {
         // Shard accounting is present and consistent.
         assert_eq!(report.evented.shard_peak_depths.len(), 4);
         assert!(report.evented.active_shards() >= 1);
-        let json = report.to_json("test");
-        assert!(json.contains("\"mode\": \"blocking\""));
-        assert!(json.contains("\"mode\": \"evented\""));
-        assert!(json.contains("\"peak_in_flight\""));
-        assert!(json.contains("\"throughput_gain\""));
+        assert_eq!(report.blocking.mode, "blocking");
+        assert_eq!(report.evented.stats.mode, "evented");
     }
 
     #[test]

@@ -11,7 +11,6 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod gaussian;
 pub mod scaling;
 pub mod serving;
 mod sweep;

@@ -7,10 +7,10 @@
 //! path is already paying for a dense SVD, dense `W·Lᵀ`/`Bᵀ·W` GEMMs and
 //! an `m×n` materialization per compile. The sweep records compile
 //! wall-time and closed-form expected error for both paths and the
-//! operator densification counter around the structured compile, and
-//! serializes a `BENCH_*.json`-style report.
+//! operator densification counter around the structured compile;
+//! [`ScalingReport::gate`] turns them into a verdict.
 
-use crate::report::TableWriter;
+use crate::report::{TableWriter, Verdict};
 use lrm_core::decomposition::{DecompositionConfig, TargetRank};
 use lrm_core::engine::{CompileOptions, Engine, MechanismKind};
 use lrm_dp::rng::derive_rng;
@@ -18,8 +18,6 @@ use lrm_linalg::operator::densification_count;
 use lrm_opt::{AlmSchedule, NesterovConfig};
 use lrm_workload::generators::{WPrefix, WRange, WRangeCoarse, WorkloadGenerator};
 use lrm_workload::Workload;
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
 /// Which structured workload family to sweep.
@@ -93,8 +91,6 @@ impl Default for ScalingConfig {
 pub struct ScalingPoint {
     /// Domain size `n`.
     pub n: usize,
-    /// Query count `m`.
-    pub m: usize,
     /// Representation of the structured workload (`intervals`/`sparse`).
     pub structure: &'static str,
     /// Wall-clock seconds of the structured-path LRM compile.
@@ -119,69 +115,35 @@ pub struct ScalingPoint {
 pub struct ScalingReport {
     /// Family swept.
     pub family: &'static str,
-    /// Fixed query count.
-    pub queries: usize,
-    /// Reference ε the errors are quoted at.
-    pub reference_eps: f64,
     /// One entry per domain size.
     pub points: Vec<ScalingPoint>,
 }
 
 impl ScalingReport {
-    /// Serializes the report in the repo's `BENCH_*.json` style.
-    pub fn to_json(&self, label: &str) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema_version\": 1,");
-        let _ = writeln!(out, "  \"label\": \"{label}\",");
-        let _ = writeln!(out, "  \"family\": \"{}\",", self.family);
-        let _ = writeln!(out, "  \"queries\": {},", self.queries);
-        let _ = writeln!(out, "  \"reference_eps\": {},", self.reference_eps);
-        let _ = writeln!(
-            out,
-            "  \"units\": {{ \"seconds\": \"wall-clock per Engine::compile(Lrm)\", \"error\": \"expected avg squared error at reference_eps\" }},"
-        );
-        let _ = writeln!(out, "  \"points\": [");
-        for (i, p) in self.points.iter().enumerate() {
-            let dense_seconds = p
-                .dense_seconds
-                .map_or("null".to_string(), |s| format!("{s:.6}"));
-            let dense_error = p
-                .dense_error
-                .map_or("null".to_string(), |e| format!("{e:.6e}"));
-            let speedup = match p.dense_seconds {
-                Some(d) if p.structured_seconds > 0.0 => {
-                    format!("{:.3}", d / p.structured_seconds)
-                }
-                _ => "null".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "    {{ \"n\": {}, \"m\": {}, \"structure\": \"{}\", \"structured_seconds\": {:.6}, \"structured_error\": {:.6e}, \"structured_rank\": {}, \"densifications\": {}, \"dense_seconds\": {}, \"dense_error\": {}, \"speedup\": {} }}{}",
-                p.n,
-                p.m,
-                p.structure,
-                p.structured_seconds,
-                p.structured_error,
-                p.structured_rank,
-                p.densifications,
-                dense_seconds,
-                dense_error,
-                speedup,
-                if i + 1 < self.points.len() { "," } else { "" }
-            );
+    /// The gate: no structured compile densified its workload, and
+    /// none took longer than `budget_seconds`.
+    pub fn gate(&self, budget_seconds: f64) -> Verdict {
+        let mut v = Verdict::default();
+        for p in &self.points {
+            let n = p.n;
+            v.check(format!("n{n}_no_densification"), p.densifications == 0)
+                .check(
+                    format!("n{n}_within_budget"),
+                    p.structured_seconds <= budget_seconds,
+                );
+            // A skipped dense compile renders as null.
+            for (metric, value, unit) in [
+                ("structured_s", p.structured_seconds, "s"),
+                ("structured_err", p.structured_error, "sq_count"),
+                ("rank", p.structured_rank as f64, "count"),
+                ("densifications", p.densifications as f64, "count"),
+                ("dense_s", p.dense_seconds.unwrap_or(f64::NAN), "s"),
+                ("dense_err", p.dense_error.unwrap_or(f64::NAN), "sq_count"),
+            ] {
+                v.metric(format!("n{n}.{metric}"), value, unit);
+            }
         }
-        let _ = writeln!(out, "  ]");
-        out.push('}');
-        out.push('\n');
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    pub fn write(&self, path: &Path, label: &str) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json(label))
+        v
     }
 
     /// Whether the structured path beat the dense path at every point with
@@ -296,7 +258,6 @@ pub fn run_scaling_sweep(cfg: &ScalingConfig) -> ScalingReport {
         ]);
         points.push(ScalingPoint {
             n,
-            m: cfg.queries,
             structure,
             structured_seconds,
             structured_error,
@@ -312,8 +273,6 @@ pub fn run_scaling_sweep(cfg: &ScalingConfig) -> ScalingReport {
     }
     ScalingReport {
         family: cfg.family.name(),
-        queries: cfg.queries,
-        reference_eps: 1.0,
         points,
     }
 }
@@ -348,9 +307,10 @@ mod tests {
                 p.structured_error
             );
         }
-        let json = report.to_json("test");
-        assert!(json.contains("\"points\""));
-        assert!(json.contains("\"structure\": \"intervals\""));
+        assert!(report.points.iter().any(|p| p.structure == "intervals"));
+        let verdict = report.gate(f64::INFINITY);
+        assert!(verdict.passed(), "{:?}", verdict.failed);
+        assert!(!report.gate(0.0).passed());
         // Dense path skipped above the cap.
         let capped = run_scaling_sweep(&ScalingConfig {
             domain_sizes: vec![128],
@@ -360,14 +320,12 @@ mod tests {
             ..ScalingConfig::default()
         });
         assert!(capped.points[0].dense_seconds.is_none());
-        assert!(capped.to_json("x").contains("\"dense_seconds\": null"));
     }
 
     #[test]
     fn strictly_faster_threshold_logic() {
         let point = |n: usize, s: f64, d: Option<f64>| ScalingPoint {
             n,
-            m: 8,
             structure: "intervals",
             structured_seconds: s,
             structured_error: 1.0,
@@ -378,8 +336,6 @@ mod tests {
         };
         let report = ScalingReport {
             family: "WPrefix",
-            queries: 8,
-            reference_eps: 1.0,
             points: vec![
                 point(512, 2.0, Some(1.0)),  // slower below threshold: ignored
                 point(1024, 1.0, Some(1.5)), // faster

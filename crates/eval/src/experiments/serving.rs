@@ -1,29 +1,36 @@
 //! Multi-tenant load harness for the `lrm-server` runtime: the coalescing
-//! server against a per-query baseline on the same trace, at equal ε.
+//! server against a baseline scheduler on the same trace.
 //!
 //! The trace is the adaptive-serving scenario the paper's premise implies:
 //! many tenants concurrently submit *correlated* batch specs — range
 //! panels and prefix histograms snapped to a coarse boundary grid, so the
 //! combined workload of any batch has rank ≤ cuts + 1 however many specs
-//! coalesce — and every request asks for one release at the same ε.
-//! The coalescing run answers each batch through **one** compiled
-//! strategy and **one** noise draw per strategy column; the baseline run
-//! (`coalesce_window = 0`, `max_batch = 1`) compiles and answers every
-//! request alone. Throughput, per-query error against the exact answers,
-//! ledger over-spend (from the grants each client actually observed, not
-//! the clamped ledger counter), and the global densification counter are
-//! all recorded into a `BENCH_5.json`-style report.
+//! coalesce — and every request asks for one release.
 //!
-//! The same machinery also drives the **approximate-DP** comparison (see
-//! [`crate::experiments::gaussian`]): with a positive
-//! [`ServingConfig::noise_delta`] every release is (ε, δ)-DP through the
-//! Gaussian calibration, requests draw their ε from
-//! [`ServingConfig::eps_levels`] round-robin,
-//! and [`ServingMode::Fragmented`] gives the ε-keyed scheduler baseline
-//! that cross-ε coalescing is measured against.
+//! Under pure ε-DP (the default) every request uses the same ε. The
+//! coalescing run answers each batch through **one** compiled strategy
+//! and **one** noise draw per strategy column; the baseline run
+//! (`coalesce_window = 0`, `max_batch = 1`) compiles and answers every
+//! request alone.
+//!
+//! With a positive [`ServingConfig::noise_delta`] every release is
+//! (ε, δ)-DP through the Gaussian calibration (arXiv:1502.07526) and
+//! requests draw their ε from [`ServingConfig::eps_levels`] round-robin.
+//! The baseline is then [`ServingMode::Fragmented`]: the same window and
+//! batch cap, but batches keyed on ε as a Laplace scheduler's must be.
+//! The coalescing run keys on the δ-class only — one base draw at the
+//! batch's largest ε serves every member, and stricter members add an
+//! independent variance top-up — so the comparison isolates what
+//! cross-ε coalescing buys.
+//!
+//! Throughput, per-query error against the exact answers, client-observed
+//! latency, ledger over-spend (from the grants each client actually
+//! observed, not the clamped ledger counter), and the global
+//! densification counter are recorded per run; [`ServingReport::gate`]
+//! turns the pair into a [`Verdict`].
 
 use crate::experiments::scaling::scaling_lrm_config;
-use crate::report::TableWriter;
+use crate::report::{TableWriter, Verdict};
 use lrm_core::engine::{CompileOptions, Engine, MechanismKind, NoiseFlavor};
 use lrm_dp::rng::derive_rng;
 use lrm_dp::{Budget, Epsilon};
@@ -31,8 +38,6 @@ use lrm_linalg::operator::densification_count;
 use lrm_server::{QuerySpec, Release, Server, ServerError, ServerReport};
 use lrm_workload::{Attribute, Schema};
 use rand::Rng;
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Load-harness configuration.
@@ -302,12 +307,8 @@ pub struct ServingRunStats {
     pub answered: u64,
     /// Requests refused with a typed budget error.
     pub rejected: u64,
-    /// Individual queries released.
-    pub queries_answered: u64,
     /// Granted requests per second.
     pub requests_per_second: f64,
-    /// Released queries per second.
-    pub queries_per_second: f64,
     /// Mean squared per-query error of the released answers.
     pub mean_squared_error: f64,
     /// Batches answered.
@@ -316,17 +317,12 @@ pub struct ServingRunStats {
     pub coalesced_batches: u64,
     /// Mean requests per batch.
     pub mean_occupancy: f64,
-    /// Largest batch.
-    pub max_occupancy: u64,
-    /// Strategy-cache misses (full compiles).
-    pub cache_misses: u64,
-    /// Strategy-cache memory hits.
-    pub cache_hits: u64,
     /// Peak submitted-but-unanswered requests.
     pub peak_queue_depth: u64,
-    /// Median submit→response latency, milliseconds.
+    /// Median client-observed submit→completion latency, milliseconds.
     pub p50_latency_ms: f64,
-    /// 99th-percentile submit→response latency, milliseconds.
+    /// 99th-percentile client-observed submit→completion latency,
+    /// milliseconds.
     pub p99_latency_ms: f64,
     /// Whether any tenant's *observed grants* exceeded its registered
     /// budget by more than the ledger's one-slack bound (must be false).
@@ -342,7 +338,8 @@ pub struct ServingRunStats {
     pub densifications: u64,
 }
 
-/// Per-thread accumulation while driving the trace.
+/// What one driver thread observed while replaying its share of the
+/// trace.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct ClientOutcome {
     granted_per_tenant: Vec<f64>,
@@ -351,6 +348,12 @@ pub(crate) struct ClientOutcome {
     rejected: u64,
     queries: u64,
     sq_err: f64,
+    /// Client-observed submit-to-completion latency of every granted
+    /// request, in microseconds: the clock starts just before the
+    /// submit call and stops when the driver observes the completion,
+    /// so a front end's own delays (thread wakeups, harvest loops) are
+    /// charged to it.
+    latencies_us: Vec<u64>,
 }
 
 impl ClientOutcome {
@@ -362,11 +365,17 @@ impl ClientOutcome {
         }
     }
 
-    /// Accounts one request's outcome: its grant and answer error, or a
-    /// typed budget refusal.
-    pub(crate) fn record(&mut self, req: &TraceRequest, outcome: Result<Release, ServerError>) {
+    /// Accounts one request's outcome: its grant, answer error and
+    /// latency, or a typed budget refusal.
+    pub(crate) fn record(
+        &mut self,
+        req: &TraceRequest,
+        outcome: Result<Release, ServerError>,
+        latency: Duration,
+    ) {
         match outcome {
             Ok(release) => {
+                self.latencies_us.push(latency.as_micros() as u64);
                 self.granted_per_tenant[req.tenant] += release.eps_spent.value();
                 self.granted_delta_per_tenant[req.tenant] += release.delta_spent;
                 self.answered += 1;
@@ -382,11 +391,134 @@ impl ClientOutcome {
             Err(e) => panic!("unexpected serving failure: {e}"),
         }
     }
+
+    fn absorb(&mut self, other: ClientOutcome) {
+        for (total, g) in self
+            .granted_per_tenant
+            .iter_mut()
+            .zip(other.granted_per_tenant)
+        {
+            *total += g;
+        }
+        for (total, g) in self
+            .granted_delta_per_tenant
+            .iter_mut()
+            .zip(other.granted_delta_per_tenant)
+        {
+            *total += g;
+        }
+        self.answered += other.answered;
+        self.rejected += other.rejected;
+        self.queries += other.queries;
+        self.sq_err += other.sq_err;
+        self.latencies_us.extend(other.latencies_us);
+    }
 }
 
-/// Replays the trace against one server configuration.
+/// Builds one run's server over a fresh engine (every run starts with a
+/// cold strategy cache) and registers every tenant's budget. `mode`
+/// picks the window, batch cap and ε-keying; `shards` the scheduler
+/// shard count.
+pub(crate) fn build_server(
+    cfg: &ServingConfig,
+    trace: &Trace,
+    mode: ServingMode,
+    shards: usize,
+) -> Server {
+    let (window, max_batch) = match mode {
+        ServingMode::Coalescing | ServingMode::Fragmented => (cfg.window, cfg.max_batch),
+        ServingMode::Baseline => (Duration::ZERO, 1),
+    };
+    let mut options = CompileOptions::with_decomposition(scaling_lrm_config());
+    if cfg.is_gaussian() {
+        options.flavor = NoiseFlavor::ApproxDp;
+    }
+    let server = Server::builder(trace.schema.clone(), trace.data.clone())
+        .engine(Engine::builder().build())
+        .mechanism(MechanismKind::Lrm)
+        .compile_options(options)
+        .coalesce_window(window)
+        .max_batch(max_batch)
+        .workers(cfg.workers)
+        .coalesce_across_eps(mode != ServingMode::Fragmented)
+        .rank_close(cfg.rank_close)
+        .shards(shards)
+        .seed(cfg.seed)
+        .build()
+        .expect("valid server configuration");
+    let budget_eps = Epsilon::new(cfg.tenant_budget).expect("positive budget");
+    let budget = if cfg.is_gaussian() {
+        Budget::approx(budget_eps, cfg.tenant_delta).expect("valid tenant delta")
+    } else {
+        Budget::pure(budget_eps)
+    };
+    for t in 0..cfg.tenants {
+        server.register_tenant_budget(&ServingConfig::tenant_name(t), budget);
+    }
+    server
+}
+
+/// Runs `drive` — one `serve` of a [`build_server`] server, returning
+/// what its driver threads observed — and folds the outcomes and the
+/// server report into one run's stats, checking the observed grants
+/// against the registered budgets. The report comes back for callers
+/// that read more of it.
+pub(crate) fn serve_trace(
+    cfg: &ServingConfig,
+    mode: &'static str,
+    drive: impl FnOnce() -> (Vec<ClientOutcome>, ServerReport),
+) -> (ServingRunStats, ServerReport) {
+    let densify_before = densification_count();
+    let t0 = Instant::now();
+    let (outcomes, report) = drive();
+    let wall_seconds = t0.elapsed().as_secs_f64();
+    let densifications = densification_count() - densify_before;
+
+    let mut total = ClientOutcome::new(cfg);
+    for outcome in outcomes {
+        total.absorb(outcome);
+    }
+    let overspend = total
+        .granted_per_tenant
+        .iter()
+        .any(|&g| g > cfg.tenant_budget * (1.0 + 1e-9) + 1e-12);
+    let delta_overspend = total
+        .granted_delta_per_tenant
+        .iter()
+        .any(|&g| g > cfg.tenant_delta * (1.0 + 1e-9) + 1e-18);
+    let mut latencies = total.latencies_us;
+    latencies.sort_unstable();
+    let percentile_ms = |q: f64| match latencies.len() {
+        0 => 0.0,
+        len => latencies[((len - 1) as f64 * q).ceil() as usize] as f64 / 1e3,
+    };
+
+    let stats = ServingRunStats {
+        mode,
+        wall_seconds,
+        answered: total.answered,
+        rejected: total.rejected,
+        requests_per_second: total.answered as f64 / wall_seconds.max(1e-9),
+        mean_squared_error: total.sq_err / total.queries.max(1) as f64,
+        batches: report.metrics.batches,
+        coalesced_batches: report.metrics.coalesced_batches,
+        mean_occupancy: report.metrics.mean_occupancy,
+        peak_queue_depth: report.metrics.peak_queue_depth,
+        p50_latency_ms: percentile_ms(0.50),
+        p99_latency_ms: percentile_ms(0.99),
+        overspend,
+        delta_overspend,
+        cross_eps_batches: report.metrics.cross_eps_batches,
+        densifications,
+    };
+    (stats, report)
+}
+
+/// Replays the trace against one server configuration, one thread per
+/// trace client.
 pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -> ServingRunStats {
-    run_serving_mode_with(cfg, trace, mode, |server| {
+    let server = build_server(cfg, trace, mode, 1);
+    let (stats, _) = serve_trace(cfg, mode.label(), || {
         server.serve(|client| {
             std::thread::scope(|s| {
                 let handles: Vec<_> = trace
@@ -400,113 +532,11 @@ pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -
                 handles
                     .into_iter()
                     .map(|h| h.join().expect("client thread"))
-                    .collect::<Vec<ClientOutcome>>()
+                    .collect()
             })
         })
-    })
-}
-
-/// [`run_serving_mode`] with the trace replayed by `drive`: one `serve`
-/// of the server, returning what its clients observed.
-pub(crate) fn run_serving_mode_with(
-    cfg: &ServingConfig,
-    trace: &Trace,
-    mode: ServingMode,
-    drive: impl FnOnce(&Server) -> (Vec<ClientOutcome>, ServerReport),
-) -> ServingRunStats {
-    let (window, max_batch) = match mode {
-        ServingMode::Coalescing | ServingMode::Fragmented => (cfg.window, cfg.max_batch),
-        ServingMode::Baseline => (Duration::ZERO, 1),
-    };
-    let mut options = CompileOptions::with_decomposition(scaling_lrm_config());
-    if cfg.is_gaussian() {
-        options.flavor = NoiseFlavor::ApproxDp;
-    }
-    // A fresh engine per run: all modes start with a cold strategy cache.
-    let server = Server::builder(trace.schema.clone(), trace.data.clone())
-        .engine(Engine::builder().build())
-        .mechanism(MechanismKind::Lrm)
-        .compile_options(options)
-        .coalesce_window(window)
-        .max_batch(max_batch)
-        .workers(cfg.workers)
-        .coalesce_across_eps(mode != ServingMode::Fragmented)
-        .rank_close(cfg.rank_close)
-        .seed(cfg.seed)
-        .build()
-        .expect("valid server configuration");
-    let budget_eps = Epsilon::new(cfg.tenant_budget).expect("positive budget");
-    let budget = if cfg.is_gaussian() {
-        Budget::approx(budget_eps, cfg.tenant_delta).expect("valid tenant delta")
-    } else {
-        Budget::pure(budget_eps)
-    };
-    for t in 0..cfg.tenants {
-        server.register_tenant_budget(&ServingConfig::tenant_name(t), budget);
-    }
-
-    let densify_before = densification_count();
-    let t0 = Instant::now();
-    let (outcomes, report) = drive(&server);
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    let densifications = densification_count() - densify_before;
-
-    let mut granted = vec![0.0f64; cfg.tenants];
-    let mut granted_delta = vec![0.0f64; cfg.tenants];
-    let mut answered = 0u64;
-    let mut rejected = 0u64;
-    let mut queries = 0u64;
-    let mut sq_err = 0.0f64;
-    for o in &outcomes {
-        for (g, total) in o.granted_per_tenant.iter().zip(granted.iter_mut()) {
-            *total += g;
-        }
-        for (g, total) in o
-            .granted_delta_per_tenant
-            .iter()
-            .zip(granted_delta.iter_mut())
-        {
-            *total += g;
-        }
-        answered += o.answered;
-        rejected += o.rejected;
-        queries += o.queries;
-        sq_err += o.sq_err;
-    }
-    let overspend = granted
-        .iter()
-        .any(|&g| g > cfg.tenant_budget * (1.0 + 1e-9) + 1e-12);
-    let delta_overspend = granted_delta
-        .iter()
-        .any(|&g| g > cfg.tenant_delta * (1.0 + 1e-9) + 1e-18);
-
-    ServingRunStats {
-        mode: mode.label(),
-        wall_seconds,
-        answered,
-        rejected,
-        queries_answered: queries,
-        requests_per_second: answered as f64 / wall_seconds.max(1e-9),
-        queries_per_second: queries as f64 / wall_seconds.max(1e-9),
-        mean_squared_error: if queries > 0 {
-            sq_err / queries as f64
-        } else {
-            0.0
-        },
-        batches: report.metrics.batches,
-        coalesced_batches: report.metrics.coalesced_batches,
-        mean_occupancy: report.metrics.mean_occupancy,
-        max_occupancy: report.metrics.max_occupancy,
-        cache_misses: report.cache.misses,
-        cache_hits: report.cache.memory_hits,
-        peak_queue_depth: report.metrics.peak_queue_depth,
-        p50_latency_ms: report.metrics.p50_latency.as_secs_f64() * 1e3,
-        p99_latency_ms: report.metrics.p99_latency.as_secs_f64() * 1e3,
-        overspend,
-        delta_overspend,
-        cross_eps_batches: report.metrics.cross_eps_batches,
-        densifications,
-    }
+    });
+    stats
 }
 
 /// One client thread: submit in bursts, wait the burst out, accumulate
@@ -522,26 +552,31 @@ fn drive_client(
             .iter()
             .map(|req| {
                 let tenant = ServingConfig::tenant_name(req.tenant);
-                client
+                let start = Instant::now();
+                let ticket = client
                     .submit_budget(&tenant, &req.spec, req.budget)
-                    .expect("trace specs and tenants are valid")
+                    .expect("trace specs and tenants are valid");
+                (start, ticket)
             })
             .collect();
-        for (req, ticket) in chunk.iter().zip(tickets) {
-            out.record(req, ticket.wait());
+        for (req, (start, ticket)) in chunk.iter().zip(tickets) {
+            out.record(req, ticket.wait(), start.elapsed());
         }
     }
     out
 }
 
-/// The two-run comparison the `load_sim` binary reports.
+/// Two runs of one trace: the coalescing server against its baseline —
+/// per-query serving on a pure trace, the ε-keyed scheduler on a
+/// Gaussian one.
 #[derive(Debug, Clone)]
 pub struct ServingReport {
-    /// Configuration echo for the report.
+    /// Configuration echo.
     pub config: ServingConfig,
-    /// The coalescing run.
+    /// The coalescing run (cross-ε on a Gaussian trace).
     pub coalesced: ServingRunStats,
-    /// The per-query baseline run.
+    /// The baseline run: [`ServingMode::Baseline`] on a pure trace,
+    /// [`ServingMode::Fragmented`] on a Gaussian one.
     pub baseline: ServingRunStats,
 }
 
@@ -553,114 +588,84 @@ impl ServingReport {
     }
 
     /// Baseline per-query MSE over coalesced per-query MSE (> 1 means
-    /// coalescing also answered more accurately at equal ε).
+    /// coalescing also answered more accurately).
     pub fn error_ratio(&self) -> f64 {
         self.baseline.mean_squared_error / self.coalesced.mean_squared_error.max(1e-300)
     }
 
     /// The acceptance gate: strictly higher coalescing throughput, zero
-    /// over-spend, zero densifications, and the coalescer actually
-    /// coalesced.
-    pub fn passes_smoke(&self) -> bool {
-        self.speedup() > 1.0
-            && !self.coalesced.overspend
-            && !self.baseline.overspend
-            && !self.coalesced.delta_overspend
-            && !self.baseline.delta_overspend
-            && self.coalesced.densifications == 0
-            && self.baseline.densifications == 0
-            && self.coalesced.coalesced_batches > 0
-    }
-
-    /// Serializes the report in the repo's `BENCH_*.json` style.
-    pub fn to_json(&self, label: &str) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema_version\": 1,");
-        let _ = writeln!(out, "  \"label\": \"{label}\",");
-        let _ = writeln!(
-            out,
-            "  \"config\": {{ \"buckets\": {}, \"cuts\": {}, \"tenants\": {}, \"clients\": {}, \"requests_per_client\": {}, \"burst\": {}, \"spec_queries\": {}, \"window_ms\": {}, \"max_batch\": {}, \"workers\": {}, \"eps_request\": {}, \"tenant_budget\": {}, \"seed\": {} }},",
-            self.config.buckets,
-            self.config.cuts,
-            self.config.tenants,
-            self.config.clients,
-            self.config.requests_per_client,
-            self.config.burst,
-            self.config.spec_queries,
-            self.config.window.as_secs_f64() * 1e3,
-            self.config.max_batch,
-            self.config.workers,
-            self.config.eps_request,
-            self.config.tenant_budget,
-            self.config.seed,
-        );
-        let _ = writeln!(
-            out,
-            "  \"units\": {{ \"throughput\": \"granted requests (and queries) per second\", \"error\": \"mean squared per-query error vs exact answers at eps_request\" }},"
-        );
-        let _ = writeln!(out, "  \"runs\": [");
-        for (i, run) in [&self.coalesced, &self.baseline].into_iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{ \"mode\": \"{}\", \"wall_seconds\": {:.6}, \"answered\": {}, \"rejected\": {}, \"queries_answered\": {}, \"requests_per_second\": {:.3}, \"queries_per_second\": {:.3}, \"mean_squared_error\": {:.6e}, \"batches\": {}, \"coalesced_batches\": {}, \"cross_eps_batches\": {}, \"mean_occupancy\": {:.3}, \"max_occupancy\": {}, \"cache_misses\": {}, \"cache_hits\": {}, \"peak_queue_depth\": {}, \"p50_latency_ms\": {:.3}, \"p99_latency_ms\": {:.3}, \"overspend\": {}, \"delta_overspend\": {}, \"densifications\": {} }}{}",
-                run.mode,
-                run.wall_seconds,
-                run.answered,
-                run.rejected,
-                run.queries_answered,
-                run.requests_per_second,
-                run.queries_per_second,
-                run.mean_squared_error,
-                run.batches,
-                run.coalesced_batches,
-                run.cross_eps_batches,
-                run.mean_occupancy,
-                run.max_occupancy,
-                run.cache_misses,
-                run.cache_hits,
-                run.peak_queue_depth,
-                run.p50_latency_ms,
-                run.p99_latency_ms,
-                run.overspend,
-                run.delta_overspend,
-                run.densifications,
-                if i == 0 { "," } else { "" }
-            );
+    /// ε or δ over-spend and zero densifications in either run, and the
+    /// coalescer actually coalesced. On a Gaussian trace the coalescing
+    /// run must also have mixed ε levels in a batch and the ε-keyed
+    /// baseline never. Latency is reported, not gated.
+    pub fn gate(&self) -> Verdict {
+        let (c, b) = (&self.coalesced, &self.baseline);
+        let mut v = Verdict::default();
+        v.check("coalesced_strictly_faster", self.speedup() > 1.0)
+            .check("no_eps_overspend", !c.overspend && !b.overspend)
+            .check(
+                "no_delta_overspend",
+                !c.delta_overspend && !b.delta_overspend,
+            )
+            .check(
+                "no_densification",
+                c.densifications == 0 && b.densifications == 0,
+            )
+            .check("coalesced_a_batch", c.coalesced_batches > 0);
+        if self.config.is_gaussian() {
+            v.check("coalesced_across_eps", c.cross_eps_batches > 0)
+                .check("baseline_never_mixed_eps", b.cross_eps_batches == 0);
         }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(
-            out,
-            "  \"comparison\": {{ \"throughput_speedup\": {:.3}, \"error_ratio_baseline_over_coalesced\": {:.3}, \"strictly_faster\": {}, \"passes_smoke\": {} }}",
-            self.speedup(),
+        v.metric("speedup", self.speedup(), "ratio").metric(
+            "error_ratio",
             self.error_ratio(),
-            self.speedup() > 1.0,
-            self.passes_smoke(),
+            "ratio",
         );
-        out.push('}');
-        out.push('\n');
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    pub fn write(&self, path: &Path, label: &str) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
+        for (name, run) in [("coalesced", c), ("baseline", b)] {
+            for (metric, value, unit) in [
+                ("throughput_rps", run.requests_per_second, "1/s"),
+                ("mse", run.mean_squared_error, "sq_count"),
+                ("p50_ms", run.p50_latency_ms, "ms"),
+                ("p99_ms", run.p99_latency_ms, "ms"),
+                ("batches", run.batches as f64, "count"),
+                ("coalesced_batches", run.coalesced_batches as f64, "count"),
+                ("cross_eps_batches", run.cross_eps_batches as f64, "count"),
+            ] {
+                v.metric(format!("{name}.{metric}"), value, unit);
+            }
         }
-        std::fs::write(path, self.to_json(label))
+        v
     }
 }
 
-/// Runs the full comparison: the same trace through the coalescing server
-/// and the per-query baseline.
+/// Runs the comparison: the same trace through the coalescing server and
+/// its baseline (per-query on a pure trace, ε-keyed on a Gaussian one).
 pub fn run_serving_bench(cfg: &ServingConfig) -> ServingReport {
+    let baseline_mode = if cfg.is_gaussian() {
+        assert!(
+            cfg.eps_levels.len() > 1,
+            "a single-ε trace cannot separate cross-ε coalescing from ε-keying"
+        );
+        ServingMode::Fragmented
+    } else {
+        ServingMode::Baseline
+    };
     let trace = build_trace(cfg);
     let coalesced = run_serving_mode(cfg, &trace, ServingMode::Coalescing);
-    let baseline = run_serving_mode(cfg, &trace, ServingMode::Baseline);
+    let baseline = run_serving_mode(cfg, &trace, baseline_mode);
 
     if !cfg.quiet {
+        let title = if cfg.is_gaussian() {
+            format!(
+                "Gaussian cross-ε coalescing — ε ∈ {:?}, δ = {:e}",
+                cfg.eps_levels, cfg.noise_delta
+            )
+        } else {
+            format!("Serving load harness — ε = {} per release", cfg.eps_request)
+        };
         let mut table = TableWriter::new(format!(
-            "Serving load harness — {} clients × {} requests, {} tenants, ε = {} per release",
-            cfg.clients, cfg.requests_per_client, cfg.tenants, cfg.eps_request
+            "{title}, {} clients × {} requests, {} tenants",
+            cfg.clients, cfg.requests_per_client, cfg.tenants
         ));
         table.header(&[
             "mode",
@@ -669,6 +674,7 @@ pub fn run_serving_bench(cfg: &ServingConfig) -> ServingReport {
             "mse",
             "batches",
             "coalesced",
+            "cross-ε",
             "occupancy",
             "p99 ms",
         ]);
@@ -680,6 +686,7 @@ pub fn run_serving_bench(cfg: &ServingConfig) -> ServingReport {
                 format!("{:.3e}", run.mean_squared_error),
                 run.batches.to_string(),
                 run.coalesced_batches.to_string(),
+                run.cross_eps_batches.to_string(),
                 format!("{:.2}", run.mean_occupancy),
                 format!("{:.1}", run.p99_latency_ms),
             ]);
@@ -763,11 +770,175 @@ mod tests {
         assert!(report.coalesced.batches < report.baseline.batches);
         assert!(report.coalesced.mean_squared_error.is_finite());
         assert!(report.coalesced.mean_squared_error > 0.0);
+        assert_eq!(report.coalesced.mode, "coalescing");
+        assert_eq!(report.baseline.mode, "per-query baseline");
+        // Every granted request was timed by its client.
+        assert!(report.coalesced.p99_latency_ms >= report.coalesced.p50_latency_ms);
+        assert!(report.coalesced.p50_latency_ms > 0.0);
+    }
 
-        let json = report.to_json("test");
-        assert!(json.contains("\"runs\""));
-        assert!(json.contains("\"throughput_speedup\""));
-        assert!(json.contains("\"mode\": \"coalescing\""));
-        assert!(json.contains("\"mode\": \"per-query baseline\""));
+    /// A Gaussian comparison on one scripted arrival schedule: a single
+    /// driver submits the trace in round-robin client order, `max_batch`
+    /// requests at a time, and waits each round out before the next. A
+    /// round's submissions reach the scheduler long before its window
+    /// ends, and every admission check sees the ledgers the rounds before
+    /// it left, so both runs' batches depend on the trace alone — not on
+    /// how two independently timed runs happened to interleave.
+    fn run_scripted_bench(cfg: &ServingConfig) -> ServingReport {
+        let trace = build_trace(cfg);
+        let run = |mode: ServingMode| {
+            let server = build_server(cfg, &trace, mode, 1);
+            serve_trace(cfg, mode.label(), || drive(&server, &trace, cfg)).0
+        };
+        ServingReport {
+            config: cfg.clone(),
+            coalesced: run(ServingMode::Coalescing),
+            baseline: run(ServingMode::Fragmented),
+        }
+    }
+
+    fn drive(
+        server: &Server,
+        trace: &Trace,
+        cfg: &ServingConfig,
+    ) -> (Vec<ClientOutcome>, ServerReport) {
+        let longest = trace.per_client.iter().map(Vec::len).max().unwrap_or(0);
+        let order: Vec<&TraceRequest> = (0..longest)
+            .flat_map(|i| trace.per_client.iter().filter_map(move |reqs| reqs.get(i)))
+            .collect();
+        server.serve(|client| {
+            let mut outcome = ClientOutcome::new(cfg);
+            for round in order.chunks(cfg.max_batch) {
+                let start = Instant::now();
+                let tickets: Vec<_> = round
+                    .iter()
+                    .map(|req| {
+                        let tenant = ServingConfig::tenant_name(req.tenant);
+                        client
+                            .submit_budget(&tenant, &req.spec, req.budget)
+                            .expect("trace specs and tenants are valid")
+                    })
+                    .collect();
+                for (req, ticket) in round.iter().zip(tickets) {
+                    outcome.record(req, ticket.wait(), start.elapsed());
+                }
+            }
+            vec![outcome]
+        })
+    }
+
+    #[test]
+    fn gaussian_bench_runs_and_holds_its_invariants() {
+        let _guard = crate::experiments::densification_guard();
+        let report = run_scripted_bench(&ServingConfig {
+            window: Duration::from_millis(200),
+            tenant_budget: 1.6,
+            noise_delta: 1e-6,
+            tenant_delta: 1e-4,
+            eps_levels: vec![0.1, 0.25],
+            ..tiny()
+        });
+
+        // The cross-ε run actually mixed ε inside batches; the
+        // fragmented run never did.
+        assert!(report.coalesced.cross_eps_batches > 0);
+        assert_eq!(report.baseline.cross_eps_batches, 0);
+        // ε-keying can only fragment: never fewer batches.
+        assert!(report.baseline.batches >= report.coalesced.batches);
+        // Privacy invariants hold in both runs.
+        assert!(!report.coalesced.overspend && !report.baseline.overspend);
+        assert!(!report.coalesced.delta_overspend && !report.baseline.delta_overspend);
+        assert_eq!(report.coalesced.densifications, 0);
+        assert_eq!(report.baseline.densifications, 0);
+        // Both runs released real answers with finite error.
+        assert!(report.coalesced.answered > 0);
+        assert!(report.baseline.answered > 0);
+        assert!(report.coalesced.mean_squared_error.is_finite());
+        assert!(report.coalesced.mean_squared_error > 0.0);
+        assert_eq!(report.baseline.mode, "eps-fragmented");
+    }
+
+    /// A report that violates exactly one condition fails exactly that
+    /// named check, on the pure and the Gaussian gate alike; the
+    /// cross-ε checks bind only on a Gaussian trace, and no gate reads
+    /// latency.
+    #[test]
+    fn gate_fails_exactly_the_violated_check() {
+        let run = |rps: f64, coalesced_batches: u64| ServingRunStats {
+            mode: "run",
+            wall_seconds: 1.0,
+            answered: 10,
+            rejected: 2,
+            requests_per_second: rps,
+            mean_squared_error: 1.0,
+            batches: 4,
+            coalesced_batches,
+            mean_occupancy: 2.5,
+            peak_queue_depth: 8,
+            p50_latency_ms: 1.0,
+            p99_latency_ms: 2.0,
+            overspend: false,
+            delta_overspend: false,
+            cross_eps_batches: 0,
+            densifications: 0,
+        };
+        let pure = ServingReport {
+            config: ServingConfig::smoke(),
+            coalesced: run(2.0, 3),
+            baseline: run(1.0, 0),
+        };
+        let mut gaussian = ServingReport {
+            config: ServingConfig::gaussian_smoke(),
+            ..pure.clone()
+        };
+        gaussian.coalesced.cross_eps_batches = 2;
+
+        type Break = fn(&mut ServingReport);
+        let cases: [(Option<&str>, bool, Break); 9] = [
+            (Some("coalesced_strictly_faster"), false, |r| {
+                r.baseline.requests_per_second = r.coalesced.requests_per_second
+            }),
+            (Some("no_eps_overspend"), false, |r| {
+                r.baseline.overspend = true
+            }),
+            (Some("no_eps_overspend"), false, |r| {
+                r.coalesced.overspend = true
+            }),
+            (Some("no_delta_overspend"), false, |r| {
+                r.baseline.delta_overspend = true
+            }),
+            (Some("no_densification"), false, |r| {
+                r.coalesced.densifications = 1
+            }),
+            (Some("coalesced_a_batch"), false, |r| {
+                r.coalesced.coalesced_batches = 0
+            }),
+            (Some("coalesced_across_eps"), true, |r| {
+                r.coalesced.cross_eps_batches = 0
+            }),
+            (Some("baseline_never_mixed_eps"), true, |r| {
+                r.baseline.cross_eps_batches = 1
+            }),
+            (None, false, |r| r.coalesced.p99_latency_ms = 1e9),
+        ];
+        assert!(pure.gate().passed());
+        assert!(gaussian.gate().passed());
+        for (check, gaussian_only, breaks) in cases {
+            for base in [&pure, &gaussian] {
+                let mut report = base.clone();
+                breaks(&mut report);
+                let expected: Vec<String> = match check {
+                    Some(_) if gaussian_only && !base.config.is_gaussian() => vec![],
+                    Some(name) => vec![name.to_string()],
+                    None => vec![],
+                };
+                assert_eq!(
+                    report.gate().failed,
+                    expected,
+                    "gaussian = {}",
+                    base.config.is_gaussian()
+                );
+            }
+        }
     }
 }

@@ -25,17 +25,15 @@
 //!
 //! The headline numbers — median per-shape iteration reduction (the
 //! acceptance gate is ≥ 30%) and P99 compile latency per stage — plus
-//! the restart invariants are serialized in the repo's `BENCH_*.json`
-//! style.
+//! the restart invariants make up [`WarmStartReport::gate`]'s verdict.
 
-use crate::report::TableWriter;
+use crate::report::{TableWriter, Verdict};
 use lrm_core::decomposition::DecompositionConfig;
-use lrm_core::engine::{CacheOutcome, CacheStats, CompileOptions, Engine, MechanismKind};
+use lrm_core::engine::{CacheOutcome, CompileOptions, Engine, MechanismKind};
 use lrm_dp::Epsilon;
 use lrm_server::{QuerySpec, Server};
 use lrm_workload::{Attribute, Schema, Workload};
-use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// Benchmark configuration.
@@ -204,113 +202,58 @@ pub struct WarmStartReport {
     /// Restarted server: engine cache misses during the replay (must
     /// be 0 — "zero full recompiles").
     pub server_misses: u64,
-    /// Restarted server: engine cache stats at the end of the replay.
-    pub server_cache: CacheStats,
 }
 
 impl WarmStartReport {
-    /// The acceptance gate of ISSUE 6: ≥ 30% median iteration reduction,
-    /// strictly less warm work overall, and both restarts answering the
-    /// working set with zero full recompiles.
-    pub fn passes_smoke(&self) -> bool {
-        let cold: usize = self.shapes.iter().map(|s| s.cold_iterations).sum();
-        let warm: usize = self
-            .shapes
-            .iter()
-            .filter(|s| s.warm_started)
-            .map(|s| s.warm_iterations)
-            .sum();
-        let cold_warm_only: usize = self
-            .shapes
-            .iter()
-            .filter(|s| s.warm_started)
-            .map(|s| s.cold_iterations)
-            .sum();
-        self.median_reduction >= 0.30
-            && self.shapes.iter().skip(1).all(|s| s.warm_started)
-            && warm < cold_warm_only
-            && warm < cold
-            && self.restart_misses == 0
-            && self.restart_disk_hits == self.shapes.len() as u64
-            && self.restart_warm_start
-            && self.server_misses == 0
-            && self.server_answered == self.shapes.len() as u64
-    }
-
-    /// Serializes the report in the repo's `BENCH_*.json` style.
-    pub fn to_json(&self, label: &str) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema_version\": 1,");
-        let _ = writeln!(out, "  \"label\": \"{label}\",");
-        let _ = writeln!(
-            out,
-            "  \"config\": {{ \"buckets\": {}, \"shapes\": {}, \"cuts\": {}, \"seed\": {} }},",
-            self.config.buckets, self.config.shapes, self.config.cuts, self.config.seed,
-        );
-        let _ = writeln!(
-            out,
-            "  \"units\": {{ \"iterations\": \"ALM outer iterations per compile\", \"latency\": \"wall-clock milliseconds per Engine::compile\" }},"
-        );
-        let _ = writeln!(out, "  \"stages\": [");
-        for (i, s) in self.stages.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{ \"stage\": \"{}\", \"compiles\": {}, \"total_iterations\": {}, \"p50_compile_ms\": {:.3}, \"p99_compile_ms\": {:.3} }}{}",
-                s.stage,
-                s.compiles,
-                s.total_iterations,
-                s.p50_compile_ms,
-                s.p99_compile_ms,
-                if i + 1 < self.stages.len() { "," } else { "" }
-            );
+    /// The acceptance gate: ≥ 30% median iteration reduction; every
+    /// near-duplicate after the first warm-starts and takes strictly
+    /// fewer iterations than its cold compile; strictly less warm work
+    /// in total than those shapes took cold; and both restarts answer
+    /// the working set with zero full recompiles, the restarted engine
+    /// warm-starting a shape it has never seen.
+    pub fn gate(&self) -> Verdict {
+        let mut v = Verdict::default();
+        v.check("median_reduction_30pct", self.median_reduction >= 0.30);
+        for s in self.shapes.iter().skip(1) {
+            v.check(format!("boundary{}_warm_started", s.nudge), s.warm_started);
+            if s.warm_started {
+                v.check(
+                    format!("boundary{}_fewer_iterations", s.nudge),
+                    s.warm_iterations < s.cold_iterations,
+                );
+            }
         }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"shapes\": [");
-        for (i, s) in self.shapes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{ \"nudge\": {}, \"cold_iterations\": {}, \"warm_iterations\": {}, \"warm_started\": {}, \"reduction\": {:.4} }}{}",
-                s.nudge,
-                s.cold_iterations,
-                s.warm_iterations,
-                s.warm_started,
-                s.reduction,
-                if i + 1 < self.shapes.len() { "," } else { "" }
-            );
+        // Below the warm-started shapes' cold total, hence also below the
+        // whole working set's.
+        let warm_shapes = || self.shapes.iter().filter(|s| s.warm_started);
+        let warm: usize = warm_shapes().map(|s| s.warm_iterations).sum();
+        let cold: usize = warm_shapes().map(|s| s.cold_iterations).sum();
+        let shapes = self.shapes.len() as u64;
+        v.check("warm_total_below_cold", warm < cold)
+            .check(
+                "restarted_engine_no_recompile",
+                self.restart_misses == 0 && self.restart_disk_hits == shapes,
+            )
+            .check("restarted_engine_warm_starts", self.restart_warm_start)
+            .check(
+                "restarted_server_no_recompile",
+                self.server_misses == 0 && self.server_answered == shapes,
+            )
+            .metric("median_reduction", self.median_reduction, "fraction");
+        for s in &self.stages {
+            for (metric, value, unit) in [
+                ("iterations", s.total_iterations as f64, "iters"),
+                ("p50_compile_ms", s.p50_compile_ms, "ms"),
+                ("p99_compile_ms", s.p99_compile_ms, "ms"),
+            ] {
+                v.metric(format!("{}.{metric}", s.stage), value, unit);
+            }
         }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(
-            out,
-            "  \"restart\": {{ \"disk_hits\": {}, \"misses\": {}, \"new_shape_warm_started\": {} }},",
-            self.restart_disk_hits, self.restart_misses, self.restart_warm_start,
-        );
-        let _ = writeln!(
-            out,
-            "  \"server_restart\": {{ \"answered\": {}, \"misses\": {}, \"disk_hits\": {}, \"store_loads\": {}, \"warm_hits\": {} }},",
-            self.server_answered,
-            self.server_misses,
-            self.server_cache.disk_hits,
-            self.server_cache.store_loads,
-            self.server_cache.warm_hits,
-        );
-        let _ = writeln!(
-            out,
-            "  \"comparison\": {{ \"median_iteration_reduction\": {:.4}, \"zero_recompiles_after_restart\": {}, \"passes_smoke\": {} }}",
-            self.median_reduction,
-            self.restart_misses == 0 && self.server_misses == 0,
-            self.passes_smoke(),
-        );
-        out.push('}');
-        out.push('\n');
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    pub fn write(&self, path: &Path, label: &str) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json(label))
+        v.metric("restart.disk_hits", self.restart_disk_hits as f64, "count")
+            .metric("restart.misses", self.restart_misses as f64, "count")
+            .metric("server.answered", self.server_answered as f64, "count")
+            .metric("server.misses", self.server_misses as f64, "count");
+        v
     }
 }
 
@@ -462,7 +405,6 @@ pub fn run_warm_start_bench(cfg: &WarmStartConfig) -> WarmStartReport {
         restart_warm_start,
         server_answered: answered,
         server_misses: server_report.cache.misses,
-        server_cache: server_report.cache,
     };
 
     if !cfg.quiet {
@@ -543,8 +485,59 @@ mod tests {
         assert_eq!(report.server_misses, 0);
         assert_eq!(report.server_answered, 3);
         assert!(report.median_reduction > 0.0);
-        let json = report.to_json("test");
-        assert!(json.contains("\"stages\""));
-        assert!(json.contains("\"median_iteration_reduction\""));
+    }
+
+    /// A report that violates exactly one condition fails exactly that
+    /// named check.
+    #[test]
+    fn gate_fails_exactly_the_violated_check() {
+        let shape = |nudge: usize, cold: usize, warm: usize| ShapeOutcome {
+            nudge,
+            cold_iterations: cold,
+            warm_iterations: warm,
+            warm_started: nudge > 0,
+            reduction: (cold - warm) as f64 / cold as f64,
+        };
+        let passing = WarmStartReport {
+            config: WarmStartConfig::smoke(),
+            stages: vec![stage_stats("cold", &[40, 40, 40], &[1.0, 2.0, 3.0])],
+            shapes: vec![shape(0, 40, 40), shape(1, 40, 10), shape(2, 40, 12)],
+            median_reduction: 0.7,
+            restart_disk_hits: 3,
+            restart_misses: 0,
+            restart_warm_start: true,
+            server_answered: 3,
+            server_misses: 0,
+        };
+        assert!(passing.gate().passed());
+
+        type Break = fn(&mut WarmStartReport);
+        let cases: [(&str, Break); 9] = [
+            ("median_reduction_30pct", |r| r.median_reduction = 0.29),
+            ("boundary2_warm_started", |r| {
+                r.shapes[2].warm_started = false
+            }),
+            ("boundary1_fewer_iterations", |r| {
+                r.shapes[1].warm_iterations = 40
+            }),
+            // The per-shape checks skip the first shape (the warm
+            // stage's cold seed), so only the total sees it.
+            ("warm_total_below_cold", |r| {
+                r.shapes[0].warm_started = true;
+                r.shapes[0].warm_iterations = 200;
+            }),
+            ("restarted_engine_no_recompile", |r| r.restart_misses = 1),
+            ("restarted_engine_no_recompile", |r| r.restart_disk_hits = 2),
+            ("restarted_engine_warm_starts", |r| {
+                r.restart_warm_start = false
+            }),
+            ("restarted_server_no_recompile", |r| r.server_misses = 1),
+            ("restarted_server_no_recompile", |r| r.server_answered = 2),
+        ];
+        for (check, breaks) in cases {
+            let mut report = passing.clone();
+            breaks(&mut report);
+            assert_eq!(report.gate().failed, vec![check.to_string()]);
+        }
     }
 }

@@ -26,6 +26,7 @@
 //! the **empirical** mean over the trials, which doubles as a continuous
 //! cross-check of the implementations.
 
+pub mod cli;
 pub mod experiments;
 pub mod mechanisms;
 pub mod params;
@@ -35,5 +36,5 @@ pub mod runner;
 
 pub use experiments::ExperimentContext;
 pub use mechanisms::MechanismKind;
-pub use report::{write_csv, TableWriter};
+pub use report::{write_csv, TableWriter, Verdict};
 pub use runner::{run_cell, CellOutcome, CellSpec};

@@ -1,8 +1,8 @@
 //! Progress reporting for the evaluation binaries, routed through the
 //! observability layer.
 //!
-//! Every serving-stack binary (`load_sim`, `gaussian`, `warm_start`,
-//! `chaos`, `scaling_sweep`) calls [`init_tracing`] first thing in
+//! Every serving-stack binary (`load_sim`, `warm_start`, `chaos`,
+//! `scaling_sweep`) calls [`init_tracing`] first thing in
 //! `main`: when `LRM_TRACE=<path>` is set, a [`lrm_obs::JsonLines`]
 //! subscriber writes the full request-lifecycle trace — plus the
 //! binary's own `progress` events — to that file, so one env var turns
@@ -12,9 +12,10 @@
 //!
 //! [`info`] is a progress note: an obs `progress` event while a
 //! subscriber is live (so it lands in the trace, ordered against the
-//! spans it narrates), stderr otherwise. [`fail`] is a gate verdict:
-//! always on stderr — CI greps for `FAIL:` — and mirrored into the
-//! trace when one is being written.
+//! spans it narrates), stderr otherwise. [`fail`] is a refusal or a
+//! failed check: always on stderr — [`crate::report::Verdict::finish`]
+//! prints each failed check as `FAIL: <check>` through it — and
+//! mirrored into the trace when one is being written.
 
 use std::fs::File;
 use std::sync::Arc;
@@ -55,7 +56,7 @@ pub fn info(bin: &'static str, message: String) {
     }
 }
 
-/// A gate verdict or hard error: always stderr (the message is the
+/// A failed check or hard error: always stderr (the message is the
 /// CI-facing diagnostic), mirrored into the trace when one is live.
 /// Usually invoked through [`crate::fail!`].
 pub fn fail(bin: &'static str, message: String) {

@@ -1,9 +1,12 @@
-//! Plain-text tables and CSV dumps for experiment results.
+//! Plain-text tables and CSV dumps for experiment results, and the
+//! [`Verdict`] every smoke gate prints.
 
+use lrm_obs::json::{push_f64, push_str};
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::process::ExitCode;
 
 /// A fixed-width text table builder; prints figure-shaped result grids.
 #[derive(Debug, Default)]
@@ -130,9 +133,132 @@ pub fn write_csv(path: &Path, records: &[CsvRecord]) -> io::Result<()> {
     fs::write(path, out)
 }
 
+/// The outcome of one gate: the checks it made, the names of those that
+/// failed, and the run's metrics as `(name, value, unit)`.
+///
+/// Every gate binary prints it as its last stdout line in perfbench's
+/// result-line shape — `correct`, `attempted` (checks made), `failed`
+/// (checks failed) and `metrics: {name: {value, unit}}` — with the
+/// metrics kept even on failure, since they are what explains it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Verdict {
+    /// Checks made.
+    pub checked: u64,
+    /// Names of the checks that failed, in the order they were made.
+    pub failed: Vec<String>,
+    /// `(name, value, unit)` in insertion order.
+    pub metrics: Vec<(String, f64, &'static str)>,
+}
+
+impl Verdict {
+    /// Records check `name`, failing it unless `ok`.
+    pub fn check(&mut self, name: impl Into<String>, ok: bool) -> &mut Self {
+        self.checked += 1;
+        if !ok {
+            self.failed.push(name.into());
+        }
+        self
+    }
+
+    /// Appends a metric.
+    pub fn metric(&mut self, name: impl Into<String>, value: f64, unit: &'static str) -> &mut Self {
+        self.metrics.push((name.into(), value, unit));
+        self
+    }
+
+    /// Whether every check held.
+    pub fn passed(&self) -> bool {
+        self.failed.is_empty()
+    }
+
+    /// Appends `other`'s checks and metrics, each name prefixed with
+    /// `prefix.` — one binary running several gates reports them all.
+    pub fn merge(&mut self, prefix: &str, other: Verdict) -> &mut Self {
+        self.checked += other.checked;
+        self.failed
+            .extend(other.failed.into_iter().map(|c| format!("{prefix}.{c}")));
+        self.metrics.extend(
+            other
+                .metrics
+                .into_iter()
+                .map(|(name, value, unit)| (format!("{prefix}.{name}"), value, unit)),
+        );
+        self
+    }
+
+    /// The result line: one JSON object, no trailing newline.
+    pub fn result_line(&self) -> String {
+        let mut out = format!(
+            "{{\"correct\": {}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{",
+            self.passed(),
+            self.checked,
+            self.failed.len()
+        );
+        for (i, (name, value, unit)) in self.metrics.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            push_str(&mut out, name);
+            out.push_str(": {\"value\": ");
+            push_f64(&mut out, *value);
+            out.push_str(", \"unit\": ");
+            push_str(&mut out, unit);
+            out.push('}');
+        }
+        out.push_str("}}");
+        out
+    }
+
+    /// Reports the verdict and returns the binary's exit code: each
+    /// failed check goes to stderr as `FAIL: <check>` (through
+    /// [`crate::progress::fail`]), the result line to stdout, and the
+    /// code is 1 if and only if a check failed.
+    pub fn finish(&self, bin: &'static str) -> ExitCode {
+        for check in &self.failed {
+            crate::progress::fail(bin, format!("FAIL: {check}"));
+        }
+        println!("{}", self.result_line());
+        if self.passed() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn verdict_renders_perfbench_result_line() {
+        let mut v = Verdict::default();
+        v.check("holds", true)
+            .metric("z \"quoted\"\\path", 1.5, "ms")
+            .metric("a", f64::NAN, "ratio")
+            .metric("m", f64::INFINITY, "1/s");
+        assert_eq!(
+            v.result_line(),
+            r#"{"correct": true, "attempted": 1, "failed": 0, "metrics": {"z \"quoted\"\\path": {"value": 1.5, "unit": "ms"}, "a": {"value": null, "unit": "ratio"}, "m": {"value": null, "unit": "1/s"}}}"#
+        );
+
+        let mut failing = Verdict::default();
+        failing.check("first", true).check("second", false);
+        let mut merged = Verdict::default();
+        merged.merge("pass", failing).merge("other", v);
+        assert!(!merged.passed());
+        assert_eq!(merged.failed, vec!["pass.second".to_string()]);
+        let line = merged.result_line();
+        assert!(line.starts_with(
+            r#"{"correct": false, "attempted": 3, "failed": 1, "metrics": {"other.z"#
+        ));
+        // Metrics keep insertion order across the merge.
+        let names: Vec<&str> = merged.metrics.iter().map(|(n, ..)| n.as_str()).collect();
+        assert_eq!(names, ["other.z \"quoted\"\\path", "other.a", "other.m"]);
+        // The exit code is 1 exactly when a check failed.
+        assert_eq!(merged.finish("test"), ExitCode::FAILURE);
+        assert_eq!(Verdict::default().finish("test"), ExitCode::SUCCESS);
+    }
 
     #[test]
     fn table_alignment() {
