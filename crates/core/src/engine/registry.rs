@@ -282,6 +282,14 @@ impl CompileOptions {
     /// [`NoiseFlavor::ApproxDp`]: pure digests stay bit-identical to what
     /// earlier releases wrote, so every pre-flavor `.lrms` store file keeps
     /// its name and keeps hitting.
+    ///
+    /// Strategy-store file names embed this digest, and it hashes the
+    /// `Debug` rendering of [`DecompositionConfig`]: changing any default,
+    /// or renaming a field, renames every store file, so a store directory
+    /// written before the change is never hit again by default-option
+    /// compiles. `default_digests_are_pinned` pins the default digests of
+    /// both flavors; a change that moves them must update that test on
+    /// purpose and say so in the changelog.
     pub(crate) fn digest(&self, kind: MechanismKind) -> u64 {
         let mut relevant = match kind {
             MechanismKind::Lrm => format!("lrm|{:?}", self.decomposition),
@@ -458,6 +466,15 @@ mod tests {
             pure.digest(MechanismKind::Lrm),
             CompileOptions::default().digest(MechanismKind::Lrm)
         );
+    }
+
+    /// Store file names embed these values in hex (see `digest`): a
+    /// change here orphans every strategy store written before it.
+    #[test]
+    fn default_digests_are_pinned() {
+        let digest = |flavor| CompileOptions::with_flavor(flavor).digest(MechanismKind::Lrm);
+        assert_eq!(digest(NoiseFlavor::PureDp), 0x1b0a_bc93_1a3b_925e);
+        assert_eq!(digest(NoiseFlavor::ApproxDp), 0xaa06_1cd9_5167_0a9a);
     }
 
     #[test]
