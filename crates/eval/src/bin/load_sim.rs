@@ -28,9 +28,9 @@
 //!    one batch (the ε-keyed run in none), with zero ε or δ over-spend.
 //! 3. `evented.` — the evented front-end gate ([`EventedConfig::smoke`]):
 //!    ≥ 10⁴ requests concurrently in flight from a handful of driver
-//!    threads over the sharded scheduler, with strictly higher throughput
-//!    *and* strictly lower p99 than the thread-per-client blocking driver
-//!    at equal ε. `--evented` runs this pass alone.
+//!    threads, with strictly higher throughput *and* strictly lower p99
+//!    than the thread-per-client blocking driver at equal ε, both on the
+//!    same server. `--evented` runs this pass alone.
 //! 4. `obs.` — the observability overhead gate: the pinned coalescing
 //!    configuration runs in interleaved pairs, once with tracing disabled
 //!    and once streaming every span and event through a JSON-lines

@@ -20,10 +20,10 @@
 //!   into one [`TicketSet`] and harvesting with
 //!   [`TicketSet::wait_any`]; the set token (handed out in submission
 //!   order) maps each completion back to its virtual client, whose next
-//!   request is submitted on the spot. The server runs its sharded
-//!   scheduler (`shards > 1`), so admission, window timing, and
-//!   flushing are spread across per-noise-class shards with
-//!   work-stealing workers behind them.
+//!   request is submitted on the spot.
+//!
+//! Both runs build the same server — one coalescing scheduler and one
+//! flush queue — so the comparison is about the driver alone.
 //!
 //! Both drivers enforce identical per-client sequencing — virtual
 //! client *c* never has more than `burst` requests outstanding, and its
@@ -42,8 +42,7 @@
 //! ([`crate::experiments::serving`]). The gate ([`EventedReport::gate`])
 //! requires the evented run to hold ≥ `target_in_flight` requests in
 //! flight server-side, to sustain strictly higher throughput *and*
-//! strictly lower p99 latency than the blocking driver, and to actually
-//! spread load across ≥ 2 scheduler shards with bounded imbalance.
+//! strictly lower p99 latency than the blocking driver.
 
 use crate::experiments::serving::{
     build_server, build_trace, serve_trace, ClientOutcome, ServingConfig, ServingMode,
@@ -63,9 +62,6 @@ pub struct EventedConfig {
     /// flight and the comparison is about the front end, not the
     /// offered load.
     pub serving: ServingConfig,
-    /// Scheduler shards of the evented run's server (the blocking run
-    /// keeps the single-shard legacy shape).
-    pub shards: usize,
     /// Driver threads of the evented run. The trace's virtual clients
     /// are dealt round-robin across them.
     pub driver_threads: usize,
@@ -82,9 +78,9 @@ impl EventedConfig {
     /// request–response loop (`burst` 1) issuing 4 requests, ≈ 5 × 10⁴
     /// submissions with 12 288 concurrently in flight. The blocking
     /// driver needs one OS thread per client to hold that; the evented
-    /// driver folds them onto 4 threads. Four ε levels give the
-    /// noise-class shard router classes to spread, and tenant budgets
-    /// are sized to grant every request in both runs.
+    /// driver folds them onto 4 threads. Requests spread over four ε
+    /// levels, and tenant budgets are sized to grant every request in
+    /// both runs.
     pub fn smoke() -> Self {
         EventedConfig {
             serving: ServingConfig {
@@ -111,59 +107,21 @@ impl EventedConfig {
                 eps_levels: vec![0.05, 0.1, 0.2, 0.4],
                 rank_close: false,
             },
-            shards: 8,
             driver_threads: 4,
             target_in_flight: 10_000,
         }
     }
 }
 
-/// The evented run's stats: the shared serving counters plus the
-/// shard/steal picture that only exists on a sharded server.
-#[derive(Debug, Clone)]
-pub struct EventedRunStats {
-    /// The common counters, measured exactly as the blocking run's.
-    pub stats: ServingRunStats,
-    /// Batches a worker claimed from another shard's flush queue.
-    pub stolen_batches: u64,
-    /// Peak submitted-but-unanswered requests per shard (index = shard).
-    pub shard_peak_depths: Vec<u64>,
-}
-
-impl EventedRunStats {
-    /// Peak concurrently in-flight requests, measured server-side
-    /// (submitted but not yet answered, summed across shards).
-    pub fn peak_in_flight(&self) -> u64 {
-        self.stats.peak_queue_depth
-    }
-
-    /// Shards that ever held a request.
-    pub fn active_shards(&self) -> usize {
-        self.shard_peak_depths.iter().filter(|&&p| p > 0).count()
-    }
-
-    /// The hottest shard's share of the summed per-shard peaks — the
-    /// imbalance signal (1.0 means one shard took everything).
-    pub fn max_shard_fraction(&self) -> f64 {
-        let total: u64 = self.shard_peak_depths.iter().sum();
-        let max = self.shard_peak_depths.iter().copied().max().unwrap_or(0);
-        if total == 0 {
-            1.0
-        } else {
-            max as f64 / total as f64
-        }
-    }
-}
-
-/// Replays the trace through the legacy front end: a single-shard
-/// server, one OS thread per virtual client, each holding a `burst`-deep
+/// Replays the trace through the legacy front end: one OS thread per
+/// virtual client, each holding a `burst`-deep
 /// pipeline of blocking tickets. The client threads run on small stacks
 /// (the drive loop is shallow) so the 10⁴-thread population stays cheap
 /// in memory; what it can't avoid is the scheduler cost of 10⁴ runnable
 /// threads, which is exactly what the comparison measures.
 pub fn run_blocking_mode(cfg: &EventedConfig, trace: &Trace) -> ServingRunStats {
     let scfg = &cfg.serving;
-    let server = build_server(scfg, trace, ServingMode::Coalescing, 1);
+    let server = build_server(scfg, trace, ServingMode::Coalescing);
     let (stats, _) = serve_trace(scfg, "blocking", || {
         server.serve(|client| {
             std::thread::scope(|s| {
@@ -220,12 +178,11 @@ fn drive_blocking(
     out
 }
 
-/// Replays the trace through the sharded server with `driver_threads`
-/// evented drivers.
-pub fn run_evented_mode(cfg: &EventedConfig, trace: &Trace) -> EventedRunStats {
+/// Replays the trace through `driver_threads` evented drivers.
+pub fn run_evented_mode(cfg: &EventedConfig, trace: &Trace) -> ServingRunStats {
     let scfg = &cfg.serving;
-    let server = build_server(scfg, trace, ServingMode::Coalescing, cfg.shards);
-    let (stats, report) = serve_trace(scfg, "evented", || {
+    let server = build_server(scfg, trace, ServingMode::Coalescing);
+    let (stats, _) = serve_trace(scfg, "evented", || {
         server.serve(|client| {
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..cfg.driver_threads)
@@ -241,11 +198,7 @@ pub fn run_evented_mode(cfg: &EventedConfig, trace: &Trace) -> EventedRunStats {
             })
         })
     });
-    EventedRunStats {
-        stats,
-        stolen_batches: report.metrics.stolen_batches,
-        shard_peak_depths: report.metrics.shard_peak_depths,
-    }
+    stats
 }
 
 /// One evented driver: simulate the virtual clients dealt to this
@@ -317,39 +270,39 @@ fn drive_evented(
 pub struct EventedReport {
     /// Configuration echo.
     pub config: EventedConfig,
-    /// The thread-per-client blocking run (single-shard server).
+    /// The thread-per-client blocking run.
     pub blocking: ServingRunStats,
-    /// The evented run (sharded server, few driver threads).
-    pub evented: EventedRunStats,
+    /// The evented run (few driver threads).
+    pub evented: ServingRunStats,
 }
 
 impl EventedReport {
     /// Evented throughput over blocking throughput (granted requests per
     /// second; > 1 means the evented front end is strictly faster).
     pub fn throughput_gain(&self) -> f64 {
-        self.evented.stats.requests_per_second / self.blocking.requests_per_second.max(1e-12)
+        self.evented.requests_per_second / self.blocking.requests_per_second.max(1e-12)
     }
 
     /// Blocking p99 latency over evented p99 latency (> 1 means the
     /// evented front end also has the shorter tail).
     pub fn p99_gain(&self) -> f64 {
-        self.blocking.p99_latency_ms / self.evented.stats.p99_latency_ms.max(1e-12)
+        self.blocking.p99_latency_ms / self.evented.p99_latency_ms.max(1e-12)
     }
 
     /// The acceptance gate: the evented run demonstrated the configured
     /// in-flight depth, beat the blocking driver on *both* throughput
-    /// and tail latency, spread load across ≥ 2 shards without a hot
-    /// shard, granted exactly what the blocking run granted, and — as
+    /// and tail latency, granted exactly what the blocking run granted,
+    /// and — as
     /// always — zero over-spend and zero densifications anywhere.
     pub fn gate(&self) -> Verdict {
-        let ev = &self.evented.stats;
+        let ev = &self.evented;
         let bl = &self.blocking;
         let mut v = Verdict::default();
         v.check("evented_strictly_faster", self.throughput_gain() > 1.0)
             .check("evented_lower_p99", self.p99_gain() > 1.0)
             .check(
                 "reached_target_in_flight",
-                self.evented.peak_in_flight() >= self.config.target_in_flight,
+                ev.peak_queue_depth >= self.config.target_in_flight,
             )
             .check("same_grants", ev.answered == bl.answered)
             .check("nothing_refused", ev.rejected == 0 && bl.rejected == 0)
@@ -362,21 +315,11 @@ impl EventedReport {
                 "no_densification",
                 ev.densifications == 0 && bl.densifications == 0,
             )
-            .check("coalesced_a_batch", ev.coalesced_batches > 0)
-            .check("two_active_shards", self.evented.active_shards() >= 2)
-            .check("shard_balance", self.evented.max_shard_fraction() <= 0.6);
-        let evented = &self.evented;
+            .check("coalesced_a_batch", ev.coalesced_batches > 0);
         for (metric, value, unit) in [
             ("throughput_gain", self.throughput_gain(), "ratio"),
             ("p99_gain", self.p99_gain(), "ratio"),
-            ("peak_in_flight", evented.peak_in_flight() as f64, "count"),
-            ("active_shards", evented.active_shards() as f64, "count"),
-            (
-                "max_shard_fraction",
-                evented.max_shard_fraction(),
-                "fraction",
-            ),
-            ("stolen_batches", evented.stolen_batches as f64, "count"),
+            ("peak_in_flight", ev.peak_queue_depth as f64, "count"),
             ("blocking.throughput_rps", bl.requests_per_second, "1/s"),
             ("blocking.p50_ms", bl.p50_latency_ms, "ms"),
             ("blocking.p99_ms", bl.p99_latency_ms, "ms"),
@@ -391,8 +334,7 @@ impl EventedReport {
 }
 
 /// Runs the full comparison: the same trace through the blocking
-/// thread-per-client driver (single-shard server) and the evented
-/// drivers (sharded server).
+/// thread-per-client driver and the evented drivers.
 pub fn run_evented_bench(cfg: &EventedConfig) -> EventedReport {
     let trace = build_trace(&cfg.serving);
     let blocking = run_blocking_mode(cfg, &trace);
@@ -400,8 +342,8 @@ pub fn run_evented_bench(cfg: &EventedConfig) -> EventedReport {
 
     if !cfg.serving.quiet {
         let mut table = TableWriter::new(format!(
-            "Evented front end — {} virtual clients × {} requests, {} shards, {} driver threads",
-            cfg.serving.clients, cfg.serving.requests_per_client, cfg.shards, cfg.driver_threads
+            "Evented front end — {} virtual clients × {} requests, {} driver threads",
+            cfg.serving.clients, cfg.serving.requests_per_client, cfg.driver_threads
         ));
         table.header(&[
             "mode",
@@ -411,28 +353,18 @@ pub fn run_evented_bench(cfg: &EventedConfig) -> EventedReport {
             "p99 ms",
             "peak in-flight",
             "batches",
-            "stolen",
         ]);
-        table.row(vec![
-            blocking.mode.to_string(),
-            format!("{:.3}", blocking.wall_seconds),
-            format!("{:.1}", blocking.requests_per_second),
-            format!("{:.1}", blocking.p50_latency_ms),
-            format!("{:.1}", blocking.p99_latency_ms),
-            blocking.peak_queue_depth.to_string(),
-            blocking.batches.to_string(),
-            "0".to_string(),
-        ]);
-        table.row(vec![
-            evented.stats.mode.to_string(),
-            format!("{:.3}", evented.stats.wall_seconds),
-            format!("{:.1}", evented.stats.requests_per_second),
-            format!("{:.1}", evented.stats.p50_latency_ms),
-            format!("{:.1}", evented.stats.p99_latency_ms),
-            evented.stats.peak_queue_depth.to_string(),
-            evented.stats.batches.to_string(),
-            evented.stolen_batches.to_string(),
-        ]);
+        for run in [&blocking, &evented] {
+            table.row(vec![
+                run.mode.to_string(),
+                format!("{:.3}", run.wall_seconds),
+                format!("{:.1}", run.requests_per_second),
+                format!("{:.1}", run.p50_latency_ms),
+                format!("{:.1}", run.p99_latency_ms),
+                run.peak_queue_depth.to_string(),
+                run.batches.to_string(),
+            ]);
+        }
         println!("{}", table.render());
     }
 
@@ -464,7 +396,6 @@ mod tests {
                 quiet: true,
                 ..ServingConfig::default()
             },
-            shards: 4,
             driver_threads: 2,
             target_in_flight: 8,
         }
@@ -479,28 +410,24 @@ mod tests {
         // Both drivers grant every request: the budgets never bind, so
         // any divergence would be a lost or double-delivered completion.
         assert_eq!(report.blocking.answered, 32);
-        assert_eq!(report.evented.stats.answered, 32);
+        assert_eq!(report.evented.answered, 32);
         assert_eq!(report.blocking.rejected, 0);
-        assert_eq!(report.evented.stats.rejected, 0);
+        assert_eq!(report.evented.rejected, 0);
 
         // The hard invariants.
         assert!(!report.blocking.overspend);
-        assert!(!report.evented.stats.overspend);
+        assert!(!report.evented.overspend);
         assert_eq!(report.blocking.densifications, 0);
-        assert_eq!(report.evented.stats.densifications, 0);
+        assert_eq!(report.evented.densifications, 0);
 
         // Token-indexed bookkeeping lined completions up with the right
         // trace requests: noisy answers differ from exact ones by a
         // finite, positive amount (a mispairing would explode the MSE;
         // a zero would mean no release was measured at all).
-        assert!(report.evented.stats.mean_squared_error > 0.0);
-        assert!(report.evented.stats.mean_squared_error.is_finite());
-
-        // Shard accounting is present and consistent.
-        assert_eq!(report.evented.shard_peak_depths.len(), 4);
-        assert!(report.evented.active_shards() >= 1);
+        assert!(report.evented.mean_squared_error > 0.0);
+        assert!(report.evented.mean_squared_error.is_finite());
         assert_eq!(report.blocking.mode, "blocking");
-        assert_eq!(report.evented.stats.mode, "evented");
+        assert_eq!(report.evented.mode, "evented");
     }
 
     #[test]

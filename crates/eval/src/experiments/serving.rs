@@ -417,14 +417,8 @@ impl ClientOutcome {
 
 /// Builds one run's server over a fresh engine (every run starts with a
 /// cold strategy cache) and registers every tenant's budget. `mode`
-/// picks the window, batch cap and ε-keying; `shards` the scheduler
-/// shard count.
-pub(crate) fn build_server(
-    cfg: &ServingConfig,
-    trace: &Trace,
-    mode: ServingMode,
-    shards: usize,
-) -> Server {
+/// picks the window, batch cap and ε-keying.
+pub(crate) fn build_server(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -> Server {
     let (window, max_batch) = match mode {
         ServingMode::Coalescing | ServingMode::Fragmented => (cfg.window, cfg.max_batch),
         ServingMode::Baseline => (Duration::ZERO, 1),
@@ -442,7 +436,6 @@ pub(crate) fn build_server(
         .workers(cfg.workers)
         .coalesce_across_eps(mode != ServingMode::Fragmented)
         .rank_close(cfg.rank_close)
-        .shards(shards)
         .seed(cfg.seed)
         .build()
         .expect("valid server configuration");
@@ -517,7 +510,7 @@ pub(crate) fn serve_trace(
 /// Replays the trace against one server configuration, one thread per
 /// trace client.
 pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -> ServingRunStats {
-    let server = build_server(cfg, trace, mode, 1);
+    let server = build_server(cfg, trace, mode);
     let (stats, _) = serve_trace(cfg, mode.label(), || {
         server.serve(|client| {
             std::thread::scope(|s| {
@@ -787,7 +780,7 @@ mod tests {
     fn run_scripted_bench(cfg: &ServingConfig) -> ServingReport {
         let trace = build_trace(cfg);
         let run = |mode: ServingMode| {
-            let server = build_server(cfg, &trace, mode, 1);
+            let server = build_server(cfg, &trace, mode);
             serve_trace(cfg, mode.label(), || drive(&server, &trace, cfg)).0
         };
         ServingReport {

@@ -68,37 +68,6 @@ impl BatchKey {
             delta_bits: budget.delta().to_bits(),
         }
     }
-
-    /// The scheduler shard this key routes to. The shard key is a strict
-    /// coarsening of the batch key — schema fingerprint × noise class,
-    /// where the noise class is the δ-class for Gaussian budgets and the
-    /// ε-bits for pure ones — so every submission that could coalesce
-    /// into one batch lands on the same shard, and a batch never spans
-    /// shards. Structural class and (for Gaussian) ε are deliberately
-    /// left out: they split batch keys *within* a shard, not across.
-    pub fn shard(&self, shards: usize) -> usize {
-        if shards <= 1 {
-            return 0;
-        }
-        let noise_class = if self.delta_bits != 0 {
-            self.delta_bits
-        } else {
-            self.eps_bits
-        };
-        // FNV-1a over the two routing words, mixed once more so that
-        // near-identical float bit patterns spread across shards.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for word in [self.schema_fingerprint, noise_class] {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        (h % shards as u64) as usize
-    }
 }
 
 /// Running upper-bound estimate of the combined rank of an open batch,

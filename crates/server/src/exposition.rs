@@ -1,8 +1,8 @@
 //! Text expositions of a [`ServerReport`]: Prometheus text format and a
 //! single JSON document.
 //!
-//! Both render the full [`MetricsSnapshot`] — every counter, the
-//! per-shard gauges, and the **raw latency histogram buckets** (so a
+//! Both render the full [`MetricsSnapshot`] — every counter and the
+//! **raw latency histogram buckets** (so a
 //! scraper can re-derive any percentile, not just the three the
 //! snapshot pre-computes) — plus the engine cache counters and the
 //! per-tenant budget telemetry ([`TenantTelemetry`]): ε/δ spent and
@@ -41,25 +41,6 @@ pub fn prometheus(report: &ServerReport) -> String {
         "lrm_batch_mean_occupancy {}",
         fmt_f64(m.mean_occupancy)
     );
-    let _ = writeln!(
-        out,
-        "# HELP lrm_shard_queue_depth Submitted-but-unanswered requests per scheduler shard."
-    );
-    let _ = writeln!(out, "# TYPE lrm_shard_queue_depth gauge");
-    for (shard, depth) in m.shard_depths.iter().enumerate() {
-        let _ = writeln!(out, "lrm_shard_queue_depth{{shard=\"{shard}\"}} {depth}");
-    }
-    let _ = writeln!(
-        out,
-        "# HELP lrm_shard_peak_queue_depth Peak queue depth each shard ever held."
-    );
-    let _ = writeln!(out, "# TYPE lrm_shard_peak_queue_depth gauge");
-    for (shard, depth) in m.shard_peak_depths.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "lrm_shard_peak_queue_depth{{shard=\"{shard}\"}} {depth}"
-        );
-    }
     push_prometheus_histogram(&mut out, m);
     push_prometheus_tenants(&mut out, &report.telemetry);
     out
@@ -125,7 +106,7 @@ fn counter_rows(m: &MetricsSnapshot) -> Vec<(&'static str, &'static str, u64)> {
         ),
         (
             "lrm_peak_queue_depth",
-            "Peak queue depth across all shards.",
+            "Peak submitted-but-unanswered requests.",
             m.peak_queue_depth,
         ),
         (
@@ -162,11 +143,6 @@ fn counter_rows(m: &MetricsSnapshot) -> Vec<(&'static str, &'static str, u64)> {
             "lrm_batches_cross_eps_total",
             "Gaussian batches spanning distinct per-release eps.",
             m.cross_eps_batches,
-        ),
-        (
-            "lrm_batches_stolen_total",
-            "Batches claimed from another shard's flush queue.",
-            m.stolen_batches,
         ),
         (
             "lrm_worker_respawns_total",
@@ -333,10 +309,6 @@ pub fn json(report: &ServerReport) -> String {
     }
     out.push_str(",\"batch_mean_occupancy\":");
     push_f64(&mut out, m.mean_occupancy);
-    out.push_str(",\"shard_queue_depths\":");
-    push_u64_array(&mut out, &m.shard_depths);
-    out.push_str(",\"shard_peak_queue_depths\":");
-    push_u64_array(&mut out, &m.shard_peak_depths);
     let _ = write!(
         out,
         ",\"latency\":{{\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"sum_us\":{},\"count\":{},\"buckets\":[",
@@ -393,17 +365,6 @@ pub fn json(report: &ServerReport) -> String {
     }
     out.push_str("]}");
     out
-}
-
-fn push_u64_array(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
 }
 
 #[cfg(test)]

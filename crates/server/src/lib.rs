@@ -5,11 +5,10 @@
 //! The paper's whole premise is that batch queries answered *together*
 //! through one low-rank strategy beat queries answered alone; this crate
 //! is that premise as a runtime. Concurrent clients submit declarative
-//! [`QuerySpec`]s; a **sharded coalescing scheduler** (see
-//! [`ServerBuilder::shards`](server::ServerBuilder::shards)) collects
+//! [`QuerySpec`]s; one **coalescing scheduler** thread collects
 //! compatible specs arriving within a bounded window into one combined
-//! structured workload (never densified), a work-stealing **worker
-//! pool** answers each batch through the
+//! structured workload (never densified), a **worker pool** claims the
+//! closed batches from one FIFO flush queue and answers each through the
 //! shared compiled-strategy [`Engine`](lrm_core::engine::Engine) cache
 //! with one noise draw per strategy column, and **per-tenant budget
 //! ledgers** (one [`lrm_dp::DurableLedger`] per tenant, lock-free at
@@ -31,10 +30,9 @@
 //! shared base draw plus per-member residual top-ups, each member
 //! settled at its own budget (see [`coalesce`]).
 //!
-//! Completions are delivered through blocking [`Ticket`]s, through an
+//! Completions are delivered through blocking [`Ticket`]s or through an
 //! evented [`TicketSet`] completion queue that lets one client thread
-//! drive tens of thousands of in-flight submissions, or through
-//! per-request callbacks (see [`tickets`]).
+//! drive tens of thousands of in-flight submissions (see [`tickets`]).
 //!
 //! Built on `std::thread::scope` + `mpsc` channels (like the SpMM kernels
 //! in `lrm-linalg`): no async runtime.

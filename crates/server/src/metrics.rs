@@ -7,10 +7,8 @@
 //! requests — and reduced to percentiles only when a snapshot is taken.
 //! The queue-depth gauge counts requests that have been submitted but not
 //! yet responded to — it spans the scheduler's coalescing window *and*
-//! the worker queue, which is the number an operator actually wants; the
-//! sharded scheduler additionally keeps one depth/peak gauge pair per
-//! shard so overload decisions and balance reporting see the queue that
-//! actually admitted the request.
+//! the worker queue, which is the number an operator actually wants, and
+//! it is the gauge bounded admission reserves its slots on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -117,9 +115,9 @@ fn percentile(counts: &[u64], q: f64) -> Duration {
     Duration::from_micros(bucket_floor(counts.len() - 1))
 }
 
-/// Internal live counters (shared across scheduler shards, workers,
+/// Internal live counters (shared by the scheduler, workers and
 /// clients).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ServerMetrics {
     pub submitted: AtomicU64,
     pub answered: AtomicU64,
@@ -146,85 +144,46 @@ pub(crate) struct ServerMetrics {
     pub laplace_batches: AtomicU64,
     pub gaussian_batches: AtomicU64,
     pub cross_eps_batches: AtomicU64,
-    pub stolen_batches: AtomicU64,
-    /// Per-shard submitted-but-unanswered gauges (index = shard id).
-    shard_depths: Vec<AtomicU64>,
-    shard_peaks: Vec<AtomicU64>,
     latencies: LatencyHistogram,
 }
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        Self::new(1)
-    }
-}
-
 impl ServerMetrics {
-    /// Live counters for a server running `shards` scheduler shards.
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        Self {
-            submitted: AtomicU64::new(0),
-            answered: AtomicU64::new(0),
-            rejected_admission: AtomicU64::new(0),
-            rejected_settlement: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            coalesced_batches: AtomicU64::new(0),
-            single_batches: AtomicU64::new(0),
-            batch_requests: AtomicU64::new(0),
-            batch_rows: AtomicU64::new(0),
-            max_occupancy: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            peak_queue_depth: AtomicU64::new(0),
-            rank_closed_batches: AtomicU64::new(0),
-            window_closed_batches: AtomicU64::new(0),
-            ceiling_closed_batches: AtomicU64::new(0),
-            drain_closed_batches: AtomicU64::new(0),
-            worker_respawns: AtomicU64::new(0),
-            quarantined_shapes: AtomicU64::new(0),
-            degraded_releases: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            ledger_replays: AtomicU64::new(0),
-            laplace_batches: AtomicU64::new(0),
-            gaussian_batches: AtomicU64::new(0),
-            cross_eps_batches: AtomicU64::new(0),
-            stolen_batches: AtomicU64::new(0),
-            shard_depths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            shard_peaks: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            latencies: LatencyHistogram::default(),
+    /// Reserves a queue slot for a new request: one compare-and-increment
+    /// on the depth gauge, which fails at `cap` (if any) with the depth
+    /// it saw. A refused reservation counts as shed and leaves every
+    /// other counter alone, so concurrent submitters can never push the
+    /// depth past the cap.
+    pub fn enqueue(&self, cap: Option<usize>) -> Result<(), u64> {
+        let cap = cap.map_or(u64::MAX, |c| c as u64);
+        match self
+            .queue_depth
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
+                (d < cap).then_some(d + 1)
+            }) {
+            Ok(prev) => {
+                self.submitted.fetch_add(1, Ordering::Relaxed);
+                self.peak_queue_depth.fetch_max(prev + 1, Ordering::Relaxed);
+                Ok(())
+            }
+            Err(depth) => {
+                self.shed.fetch_add(1, Ordering::Relaxed);
+                Err(depth)
+            }
         }
     }
 
-    /// A request entered shard `shard`'s queue.
-    pub fn enqueued(&self, shard: usize) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_queue_depth.fetch_max(depth, Ordering::Relaxed);
-        let shard_depth = self.shard_depths[shard].fetch_add(1, Ordering::Relaxed) + 1;
-        self.shard_peaks[shard].fetch_max(shard_depth, Ordering::Relaxed);
-    }
-
-    /// A request left shard `shard`'s queue (answered or rejected);
-    /// records latency.
-    pub fn dequeued(&self, shard: usize, latency: Duration) {
+    /// A request left the queue (answered or rejected); records latency.
+    pub fn dequeued(&self, latency: Duration) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        self.shard_depths[shard].fetch_sub(1, Ordering::Relaxed);
         self.latencies.record(latency);
     }
 
-    /// Undoes an [`enqueued`](Self::enqueued) whose submission never
-    /// reached a scheduler shard (send failure at shutdown); no latency
+    /// Undoes an [`enqueue`](Self::enqueue) whose submission never
+    /// reached the scheduler (send failure at shutdown); no latency
     /// sample is taken.
-    pub fn enqueue_rolled_back(&self, shard: usize) {
+    pub fn enqueue_rolled_back(&self) {
         self.submitted.fetch_sub(1, Ordering::Relaxed);
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        self.shard_depths[shard].fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// The live submitted-but-unanswered depth of one shard.
-    pub fn shard_depth(&self, shard: usize) -> u64 {
-        self.shard_depths[shard].load(Ordering::Relaxed)
     }
 
     /// A batch was flushed to the workers. `gaussian` tags the batch's
@@ -285,17 +244,7 @@ impl ServerMetrics {
             laplace_batches: self.laplace_batches.load(Ordering::Relaxed),
             gaussian_batches: self.gaussian_batches.load(Ordering::Relaxed),
             cross_eps_batches: self.cross_eps_batches.load(Ordering::Relaxed),
-            stolen_batches: self.stolen_batches.load(Ordering::Relaxed),
-            shard_depths: self
-                .shard_depths
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .collect(),
-            shard_peak_depths: self
-                .shard_peaks
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .collect(),
+            stolen_batches: 0,
             p50_latency: percentile(&counts, 0.50),
             p99_latency: percentile(&counts, 0.99),
             p999_latency: percentile(&counts, 0.999),
@@ -332,7 +281,7 @@ pub struct MetricsSnapshot {
     pub max_occupancy: u64,
     /// Total workload rows answered across all batches.
     pub batch_rows: u64,
-    /// Peak submitted-but-unanswered requests (across all shards).
+    /// Peak submitted-but-unanswered requests.
     pub peak_queue_depth: u64,
     /// Batches closed by the rank-growth rule (the estimated combined
     /// rank stopped growing) rather than by the cap, the window, or
@@ -354,8 +303,8 @@ pub struct MetricsSnapshot {
     /// Releases answered by the degraded-mode fallback because the
     /// configured mechanism blew its compile deadline.
     pub degraded_releases: u64,
-    /// Requests shed at submission because the admitting shard's queue
-    /// was at its configured depth cap.
+    /// Requests shed at submission because the queue was at its
+    /// configured depth cap.
     pub shed: u64,
     /// Tenant ε-journals replayed when tenants registered (restart
     /// resumes honored by the durable ledgers).
@@ -369,17 +318,10 @@ pub struct MetricsSnapshot {
     /// cross-ε coalescing (an ε-keyed scheduler would have fragmented
     /// them).
     pub cross_eps_batches: u64,
-    /// Batches a worker claimed from another shard's flush queue (the
-    /// work-stealing handoff; 0 on a single-shard server).
+    /// Always 0: every worker claims batches from the one flush queue,
+    /// so no batch is ever taken from another worker's queue. Kept so
+    /// readers of the field keep compiling.
     pub stolen_batches: u64,
-    /// Live submitted-but-unanswered requests per scheduler shard at
-    /// snapshot time (index = shard id; one entry on an unsharded
-    /// server).
-    pub shard_depths: Vec<u64>,
-    /// Peak submitted-but-unanswered requests each shard ever held —
-    /// the shard-balance signal: a hot shard shows up as one peak far
-    /// above the rest.
-    pub shard_peak_depths: Vec<u64>,
     /// Median submit→response latency (histogram floor: exact below
     /// 64 µs, within 1/64 relative — rounding down — above).
     pub p50_latency: Duration,
@@ -415,18 +357,18 @@ mod tests {
 
     #[test]
     fn counters_roll_up() {
-        let m = ServerMetrics::new(2);
-        m.enqueued(0);
-        m.enqueued(1);
-        m.enqueued(1);
+        let m = ServerMetrics::default();
+        for _ in 0..3 {
+            m.enqueue(Some(3)).unwrap();
+        }
         assert_eq!(m.queue_depth.load(Ordering::Relaxed), 3);
-        assert_eq!(m.shard_depth(0), 1);
-        assert_eq!(m.shard_depth(1), 2);
+        // At the cap: refused with the depth it saw, counted as shed.
+        assert_eq!(m.enqueue(Some(3)), Err(3));
         m.batch_flushed(2, 10, true, 2);
         m.batch_flushed(1, 3, false, 1);
-        m.dequeued(0, Duration::from_millis(4));
-        m.dequeued(1, Duration::from_millis(8));
-        m.dequeued(1, Duration::from_millis(100));
+        m.dequeued(Duration::from_millis(4));
+        m.dequeued(Duration::from_millis(8));
+        m.dequeued(Duration::from_millis(100));
         m.answered.fetch_add(3, Ordering::Relaxed);
 
         let s = m.snapshot();
@@ -439,8 +381,7 @@ mod tests {
         assert_eq!(s.batch_rows, 13);
         assert!((s.mean_occupancy - 1.5).abs() < 1e-12);
         assert_eq!(s.peak_queue_depth, 3);
-        assert_eq!(s.shard_depths, vec![0, 0]);
-        assert_eq!(s.shard_peak_depths, vec![1, 2]);
+        assert_eq!(s.shed, 1);
         assert_eq!(s.gaussian_batches, 1);
         assert_eq!(s.laplace_batches, 1);
         assert_eq!(s.cross_eps_batches, 1);
@@ -507,17 +448,17 @@ mod tests {
 
     #[test]
     fn snapshot_exposes_raw_buckets_sum_and_p999() {
-        let m = ServerMetrics::new(1);
+        let m = ServerMetrics::default();
         // 998 fast samples and two slow ones: nearest-rank p99.9 of
         // 1000 samples is rank 999 — a slow sample — so p99.9 must
         // surface the outlier that p99 (rank 990) is allowed to hide.
         for _ in 0..998 {
-            m.enqueued(0);
-            m.dequeued(0, Duration::from_micros(10));
+            m.enqueue(None).unwrap();
+            m.dequeued(Duration::from_micros(10));
         }
         for _ in 0..2 {
-            m.enqueued(0);
-            m.dequeued(0, Duration::from_millis(50));
+            m.enqueue(None).unwrap();
+            m.dequeued(Duration::from_millis(50));
         }
         let s = m.snapshot();
         assert_eq!(s.p99_latency, Duration::from_micros(10));

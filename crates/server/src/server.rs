@@ -2,22 +2,20 @@
 //!
 //! Request lifecycle (one batch, end to end):
 //!
-//! 1. **spec** — a client hands [`Client::submit`] a [`QuerySpec`]; it is
-//!    validated and translated against the server's [`Schema`] into
-//!    structured rows (never densified) on the client's thread.
-//! 2. **route** — the submission is routed to a scheduler shard by its
-//!    schema fingerprint × noise class (δ-class for Gaussian, ε for
-//!    pure) — a strict coarsening of the batch key, so everything that
-//!    could coalesce meets on one shard and a batch never spans shards
-//!    (see [`ServerBuilder::shards`]; the default single shard is the
-//!    original scheduler). Admission is bounded per shard: past the
-//!    depth cap the request is shed synchronously with
-//!    [`ServerError::Overloaded`], whose `retry_after` is computed from
-//!    the admitting shard's own backlog.
-//! 3. **admit** — the owning shard admission-checks the tenant's ledger
-//!    (typed [`ServerError::Admission`] on unknown tenant or an
-//!    already-insufficient budget; advisory, see step 7).
-//! 4. **coalesce** — compatible submissions (same schema and structural
+//! 1. **spec + admit** — a client hands [`Client::submit`] a
+//!    [`QuerySpec`]. On the client's thread the budget's noise model is
+//!    checked against the server's, the spec is validated and translated
+//!    against the server's [`Schema`] into structured rows (never
+//!    densified), the tenant must exist, and — with
+//!    [`ServerBuilder::max_queue_depth`] set — the request reserves one
+//!    queue slot or is shed synchronously with
+//!    [`ServerError::Overloaded`]. Each failure is a typed synchronous
+//!    error; nothing was enqueued.
+//! 2. **budget check** — the coalescing scheduler thread checks the
+//!    tenant's ledger (typed [`ServerError::Admission`] on an
+//!    already-insufficient budget; advisory, see step 6) and refuses
+//!    quarantined shapes.
+//! 3. **coalesce** — compatible submissions (same schema and structural
 //!    class — see [`coalesce`](crate::coalesce)) arriving within the
 //!    bounded window are collected into one open batch. On a pure-DP
 //!    server the per-release ε is part of the batch key; on a Gaussian
@@ -27,12 +25,12 @@
 //!    [`ServerBuilder::rank_close`]), when the window
 //!    elapses, or at the `max_batch` ceiling. A lone spec falls through
 //!    as a single-request batch.
-//! 5. **compile / cache** — a worker claims the closed batch from its
-//!    shard's flush queue (stealing from other shards when its own is
-//!    empty), concatenates it into one combined structured workload and
-//!    compiles it through the shared [`Engine`]: repeated workloads are
-//!    O(1) cache hits, and the whole batch shares a single strategy.
-//! 6. **noise** — pure mode: one [`Mechanism::answer`] call for the whole
+//! 4. **compile / cache** — a worker claims the oldest closed batch from
+//!    the one FIFO flush queue, concatenates it into one combined
+//!    structured workload and compiles it through the shared [`Engine`]:
+//!    repeated workloads are O(1) cache hits, and the whole batch shares
+//!    a single strategy.
+//! 5. **noise** — pure mode: one [`Mechanism::answer`] call for the whole
 //!    batch, one Laplace draw per strategy column, not per member.
 //!    Gaussian mode: one *base* draw calibrated at the weakest
 //!    (largest-ε) member budget, replayed identically for every member
@@ -41,7 +39,7 @@
 //!    Gaussian noise is closed under addition, so each member's slice
 //!    carries exactly its own (ε, δ) calibration while the whole batch
 //!    shares a single strategy and data pass.
-//! 7. **slice + settle** — each member's answer is the contiguous slice
+//! 6. **slice + settle** — each member's answer is the contiguous slice
 //!    of (its copy of) the batch answer its rows occupy. The settlement
 //!    is two-phase: an *intent* durably reserves the member's own
 //!    (ε, δ) budget **before** any noise is drawn, and the debit settles
@@ -52,12 +50,10 @@
 //!    the intent as spent (wasted budget at worst, never unaccounted
 //!    noise).
 //!
-//! Completion delivery is pluggable: the classic blocking [`Ticket`]
-//! (one channel per request), the evented
-//! [`TicketSet`] completion queue
+//! Completions arrive on the classic blocking [`Ticket`] (one channel
+//! per request) or on the evented [`TicketSet`] completion queue
 //! ([`Client::submit_budget_into`]) that lets one client thread drive
-//! tens of thousands of in-flight requests, and per-request callbacks
-//! ([`Client::submit_budget_with`]) that run on the completing worker.
+//! tens of thousands of in-flight requests.
 //!
 //! The runtime is plain `std::thread::scope` + `mpsc` channels (like the
 //! SpMM kernels in `lrm-linalg`): no async runtime, no unbounded queues
@@ -86,16 +82,15 @@
 //!   ([`Release::degraded`] is set). Nothing is cached for the shape,
 //!   so its next batch compiles again.
 //! * **Bounded admission** — with [`ServerBuilder::max_queue_depth`]
-//!   set, submissions beyond the per-shard cap are shed synchronously
-//!   with [`ServerError::Overloaded`] instead of growing the queue
-//!   without bound; `retry_after` scales with the admitting shard's
-//!   backlog.
+//!   set, submissions beyond the cap are shed synchronously with
+//!   [`ServerError::Overloaded`] instead of growing the queue without
+//!   bound; `retry_after` scales with the backlog.
 
 use crate::coalesce::{combine, BatchKey, RankTracker};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::spec::{shape_hash, PreparedSpec, QuerySpec, SpecError};
 use crate::tenants::{AdmissionError, BurnTracker, TenantLedgers, TenantSpend, TenantTelemetry};
-use crate::tickets::{Completion, Responder, TicketSet};
+use crate::tickets::{Responder, TicketSet};
 use lrm_core::engine::{
     CacheStats, CompileOptions, CompiledMechanism, Engine, MechanismKind, NoiseFlavor,
 };
@@ -104,12 +99,12 @@ use lrm_core::mechanism::Mechanism;
 use lrm_dp::rng::{derive_rng, substream};
 use lrm_dp::{Budget, Epsilon, ResumeSummary};
 use lrm_workload::{Schema, Workload, WorkloadError};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Sliding window over which per-tenant budget burn rates are measured;
@@ -129,7 +124,6 @@ pub struct ServerBuilder {
     max_batch: usize,
     rank_close: bool,
     workers: usize,
-    shards: usize,
     seed: u64,
     state_dir: Option<PathBuf>,
     compile_deadline: Option<Duration>,
@@ -157,7 +151,6 @@ impl ServerBuilder {
             max_batch: 8,
             rank_close: true,
             workers: 2,
-            shards: 1,
             seed: entropy_seed(),
             state_dir: None,
             compile_deadline: None,
@@ -232,22 +225,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Scheduler shards (default 1: the original single coalescing
-    /// scheduler). Each shard owns its submission channel, open-batch
-    /// map, window timers, and flush queue; submissions are routed by
-    /// schema fingerprint × noise class, a strict coarsening of the
-    /// batch key — so sharding never splits a coalescible group, it only
-    /// partitions *independent* groups onto independent timer loops.
-    /// Workers steal across shard flush queues, so a hot shard still
-    /// gets the whole pool. Raise this (2–8) when one scheduler thread's
-    /// HashMap and timer churn is the ingest bottleneck at 10⁴+
-    /// in-flight submissions; with a single noise class all traffic
-    /// shares one shard and extra shards idle.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Master seed for the per-batch noise streams (batch `i` draws from
     /// `derive_rng(seed, i)`).
     ///
@@ -288,10 +265,9 @@ impl ServerBuilder {
     /// Bounds the submitted-but-unanswered queue (default: unbounded).
     /// [`Client::submit`] sheds requests beyond the cap synchronously
     /// with [`ServerError::Overloaded`] — load stays visible to the
-    /// client instead of accumulating as unbounded latency. On a
-    /// sharded server the cap divides evenly across shards (each shard
-    /// sheds at `⌈depth / shards⌉`), and the error's `retry_after` is
-    /// computed from the admitting shard's own backlog.
+    /// client instead of accumulating as unbounded latency. A request
+    /// reserves its slot atomically at submission, so concurrent
+    /// submitters never hold more than `depth` requests in the queue.
     pub fn max_queue_depth(mut self, depth: usize) -> Self {
         self.max_queue_depth = Some(depth.max(1));
         self
@@ -378,7 +354,6 @@ impl ServerBuilder {
             max_batch: self.max_batch,
             rank_close: self.rank_close,
             workers: self.workers,
-            shards: self.shards,
             seed: self.seed,
             compile_deadline: self.compile_deadline,
             max_queue_depth: self.max_queue_depth,
@@ -425,7 +400,6 @@ pub struct Server {
     max_batch: usize,
     rank_close: bool,
     workers: usize,
-    shards: usize,
     seed: u64,
     compile_deadline: Option<Duration>,
     max_queue_depth: Option<usize>,
@@ -454,7 +428,6 @@ impl fmt::Debug for Server {
             .field("coalesce_window", &self.coalesce_window)
             .field("max_batch", &self.max_batch)
             .field("workers", &self.workers)
-            .field("shards", &self.shards)
             .finish_non_exhaustive()
     }
 }
@@ -531,37 +504,34 @@ impl Server {
     /// everything down (draining every in-flight batch) when `f` returns.
     /// Returns `f`'s result plus the [`ServerReport`] for the run.
     pub fn serve<R>(&self, f: impl FnOnce(&Client<'_>) -> R) -> (R, ServerReport) {
-        let metrics = ServerMetrics::new(self.shards);
+        let metrics = ServerMetrics::default();
         let live_workers = AtomicUsize::new(self.workers);
-        let pool = WorkPool::new(self.shards);
-        let mut sub_txs = Vec::with_capacity(self.shards);
-        let mut sub_rxs = Vec::with_capacity(self.shards);
-        for _ in 0..self.shards {
-            let (tx, rx) = mpsc::channel::<Submission>();
-            sub_txs.push(tx);
-            sub_rxs.push(rx);
-        }
+        let (sub_tx, sub_rx) = mpsc::channel::<Submission>();
+        // The flush queue: the scheduler is its only sender, and the
+        // workers share its receiver. `recv` hands out every buffered
+        // job before it reports the scheduler's hang-up, so each flushed
+        // batch is claimed before the last worker exits.
+        let (job_tx, job_rx) = mpsc::channel::<BatchJob>();
+        let jobs = Mutex::new(job_rx);
 
         let result = std::thread::scope(|s| {
             let m = &metrics;
             let live = &live_workers;
-            let pool = &pool;
-            for (shard, rx) in sub_rxs.into_iter().enumerate() {
-                s.spawn(move || self.scheduler_loop(shard, m, rx, pool));
-            }
-            for w in 0..self.workers {
-                s.spawn(move || self.worker_loop(w, m, pool, live));
+            let jobs = &jobs;
+            s.spawn(move || self.scheduler_loop(m, sub_rx, job_tx));
+            for _ in 0..self.workers {
+                s.spawn(move || self.worker_loop(m, jobs, live));
             }
             let client = Client {
                 server: self,
                 metrics: m,
-                txs: sub_txs,
+                tx: sub_tx,
             };
             f(&client)
-            // `client` (the last submission sender for every shard)
-            // drops here: each shard flushes its open batches and exits;
-            // the workers drain the flush queues, and the scope joins
-            // them all.
+            // `client` (the last submission sender) drops here: the
+            // scheduler flushes its open batches and exits, dropping the
+            // flush queue's sender; the workers drain the queue, and the
+            // scope joins them all.
         });
 
         metrics
@@ -577,18 +547,16 @@ impl Server {
         (result, report)
     }
 
-    /// One coalescing scheduler shard: groups admissible submissions by
-    /// [`BatchKey`] within the bounded window. Every shard runs this
-    /// same loop over its own submission channel, open-batch map, and
-    /// window timers; closed batches go to the shard's flush queue in
-    /// the shared [`WorkPool`]. The shard that drains last signals the
-    /// workers that the admission stream is over.
+    /// The coalescing scheduler: groups admissible submissions by
+    /// [`BatchKey`] within the bounded window and sends closed batches to
+    /// the workers' flush queue. It returns (dropping `jobs`, which tells
+    /// the workers the admission stream is over) once every client has
+    /// hung up and every open batch is flushed.
     fn scheduler_loop(
         &self,
-        shard: usize,
         metrics: &ServerMetrics,
         rx: Receiver<Submission>,
-        pool: &WorkPool,
+        jobs: Sender<BatchJob>,
     ) {
         let mut open: HashMap<BatchKey, OpenBatch> = HashMap::new();
         let mut next_seq: u64 = 0;
@@ -596,7 +564,7 @@ impl Server {
             let now = Instant::now();
             let due = Self::due_batches(&mut open, now);
             for batch in due {
-                self.flush(metrics, pool, shard, batch, CloseReason::Window);
+                self.flush(metrics, &jobs, batch, CloseReason::Window);
             }
             let msg = match open.values().map(|b| b.deadline).min() {
                 Some(deadline) => rx.recv_timeout(deadline.saturating_duration_since(now)),
@@ -624,8 +592,7 @@ impl Server {
                         respond(metrics, sub, Err(ServerError::Quarantined { shape }));
                         continue;
                     }
-                    // The key was computed on the submit path (it routed
-                    // the submission to this shard).
+                    // The key was computed on the submit path.
                     let key = sub.key;
                     let batch = open.entry(key).or_insert_with(|| {
                         let seq = next_seq;
@@ -662,7 +629,7 @@ impl Server {
                             CloseReason::Window
                         };
                         let batch = open.remove(&key).expect("batch just touched");
-                        self.flush(metrics, pool, shard, batch, reason);
+                        self.flush(metrics, &jobs, batch, reason);
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => {}
@@ -672,12 +639,8 @@ impl Server {
                     let mut rest: Vec<OpenBatch> = open.drain().map(|(_, b)| b).collect();
                     rest.sort_by_key(|b| b.seq);
                     for batch in rest {
-                        self.flush(metrics, pool, shard, batch, CloseReason::ShutdownDrain);
+                        self.flush(metrics, &jobs, batch, CloseReason::ShutdownDrain);
                     }
-                    // The flushes above happen-before this decrement, so
-                    // a worker that observes zero live shards and empty
-                    // queues can safely exit.
-                    pool.scheduler_done();
                     break;
                 }
             }
@@ -700,16 +663,14 @@ impl Server {
         due
     }
 
-    /// Hands a closed batch to the worker pool via its shard's flush
-    /// queue. The index comes from the server-lifetime
-    /// [`Server::batch_counter`] — shared by every shard — so no noise
-    /// stream is ever repeated, however many shards or `serve` runs this
+    /// Hands a closed batch to the worker pool via the flush queue. The
+    /// index comes from the server-lifetime [`Server::batch_counter`], so
+    /// no noise stream is ever repeated, however many `serve` runs this
     /// server hosts.
     fn flush(
         &self,
         metrics: &ServerMetrics,
-        pool: &WorkPool,
-        shard: usize,
+        jobs: &Sender<BatchJob>,
         batch: OpenBatch,
         reason: CloseReason,
     ) {
@@ -746,7 +707,6 @@ impl Server {
         let trace = lrm_obs::next_trace_id();
         lrm_obs::event!(in trace; "batch.close",
             batch = index,
-            shard = shard,
             reason = reason.label(),
             requests = requests,
             rows = rows,
@@ -759,10 +719,10 @@ impl Server {
             flushed_at: Instant::now(),
             submissions: batch.submissions,
         };
-        // The pool is a queue, not a channel: workers only exit after
-        // every shard is done *and* every queue is drained, so a pushed
-        // job is always claimed — no orphaned tickets.
-        pool.push(shard, job);
+        // The workers' receiver lives in `serve` until after the scope
+        // joins, so this send cannot fail; were it to, dropping the job
+        // would still resolve every member's ticket with `Shutdown`.
+        let _ = jobs.send(job);
     }
 
     /// A supervised worker: answer batches until the scheduler hangs up,
@@ -776,23 +736,19 @@ impl Server {
     /// scheduler can still flush batches at it.
     fn worker_loop(
         &self,
-        worker: usize,
         metrics: &ServerMetrics,
-        pool: &WorkPool,
+        jobs: &Mutex<Receiver<BatchJob>>,
         live_workers: &AtomicUsize,
     ) {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let mut panics: u64 = 0;
-        // Each worker prefers one home shard (spreading the pool across
-        // shards) and steals from the others when its own queue is dry.
-        let home = worker % self.shards;
         loop {
-            let Some((from, mut job)) = pool.pop(home) else {
+            // One idle worker blocks in `recv` while the others wait for
+            // the lock; the guard drops before the batch is answered.
+            let next = jobs.lock().unwrap_or_else(|e| e.into_inner()).recv();
+            let Ok(mut job) = next else {
                 break;
             };
-            if from != home {
-                metrics.stolen_batches.fetch_add(1, Ordering::Relaxed);
-            }
             // AssertUnwindSafe: on panic we only touch `job.submissions`
             // (a plain Vec the answer loop shrinks with `remove(0)`, so
             // exactly the unresponded members remain) and shared state
@@ -994,7 +950,6 @@ impl Server {
                         degraded,
                     };
                     let request_trace = sub.trace;
-                    let shard = sub.shard;
                     let submitted_at = sub.submitted_at;
                     let budget = sub.budget;
                     respond(metrics, sub, Ok(release));
@@ -1013,7 +968,6 @@ impl Server {
                             + ns_between(noise_done, responded_at);
                         lrm_obs::event!(in request_trace; "request.complete",
                             batch = job.index,
-                            shard = shard,
                             coalesce_ns = coalesce_ns,
                             queue_ns = queue_ns,
                             compile_ns = compile_ns,
@@ -1146,20 +1100,17 @@ fn entropy_seed() -> u64 {
         .finish()
 }
 
-/// Records the request's exit from its shard's queue and delivers its
-/// outcome through whatever responder the submission carries (blocking
-/// ticket, ticket-set completion queue, or callback). Rejections emit a
-/// `request.reject` trace event here — the one place every asynchronous
-/// failure path funnels through.
+/// Records the request's exit from the queue and delivers its outcome
+/// through whatever responder the submission carries (blocking ticket or
+/// ticket-set completion queue). Rejections emit a `request.reject`
+/// trace event here — the one place every asynchronous failure path
+/// funnels through.
 fn respond(metrics: &ServerMetrics, sub: Submission, outcome: Result<Release, ServerError>) {
     if let Err(e) = &outcome {
         let trace = sub.trace;
-        lrm_obs::event!(in trace; "request.reject",
-            shard = sub.shard,
-            reason = error_label(e),
-        );
+        lrm_obs::event!(in trace; "request.reject", reason = error_label(e));
     }
-    metrics.dequeued(sub.shard, sub.submitted_at.elapsed());
+    metrics.dequeued(sub.submitted_at.elapsed());
     sub.responder.send(outcome);
 }
 
@@ -1222,122 +1173,13 @@ impl CloseReason {
     }
 }
 
-/// The shared batch hand-off between scheduler shards and the worker
-/// pool: one flush queue per shard, workers pop their home shard first
-/// and steal from the rest. A queue (not a channel) so that a job, once
-/// pushed, is always claimed: workers only exit once every scheduler
-/// shard has signalled done *and* every queue has drained.
-struct WorkPool {
-    queues: Vec<Mutex<VecDeque<BatchJob>>>,
-    /// Total jobs across all queues — the fast "anything to do?" check.
-    queued: AtomicUsize,
-    /// Scheduler shards still running; pushed jobs strictly precede the
-    /// owner's decrement.
-    live_schedulers: AtomicUsize,
-    /// Sleeping workers park here; pushes and shard exits notify under
-    /// the gate so wakeups are never lost.
-    gate: Mutex<()>,
-    available: Condvar,
-}
-
-impl WorkPool {
-    fn new(shards: usize) -> Self {
-        WorkPool {
-            queues: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
-            queued: AtomicUsize::new(0),
-            live_schedulers: AtomicUsize::new(shards),
-            gate: Mutex::new(()),
-            available: Condvar::new(),
-        }
-    }
-
-    fn push(&self, shard: usize, job: BatchJob) {
-        self.queues[shard]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(job);
-        self.queued.fetch_add(1, Ordering::SeqCst);
-        // Take the gate before notifying: a worker that just checked
-        // `queued` and is about to wait holds it, so the notification
-        // cannot slip into that gap.
-        drop(self.gate.lock().unwrap_or_else(|e| e.into_inner()));
-        self.available.notify_one();
-    }
-
-    /// Claims the globally oldest flushed batch. Each shard's queue is
-    /// FIFO, so its head is that shard's oldest job; taking the minimum
-    /// batch index across heads keeps cross-shard service order fair —
-    /// with a fixed scan order, a hot shard that keeps refilling would
-    /// starve a quiet shard's backlog indefinitely. Blocks while
-    /// everything is empty but a scheduler shard could still flush;
-    /// returns `None` only at final drain.
-    fn pop(&self, _home: usize) -> Option<(usize, BatchJob)> {
-        let shards = self.queues.len();
-        loop {
-            while self.queued.load(Ordering::SeqCst) > 0 {
-                let mut oldest: Option<(usize, u64)> = None;
-                for i in 0..shards {
-                    let queue = self.queues[i].lock().unwrap_or_else(|e| e.into_inner());
-                    if let Some(job) = queue.front() {
-                        if oldest.is_none_or(|(_, index)| job.index < index) {
-                            oldest = Some((i, job.index));
-                        }
-                    }
-                }
-                // Every queue drained between the `queued` check and the
-                // scan: fall through to the gate.
-                let Some((i, index)) = oldest else { break };
-                let mut queue = self.queues[i].lock().unwrap_or_else(|e| e.into_inner());
-                // Another worker may have claimed the head since the
-                // scan; only pop if it is still the job we chose.
-                if queue.front().is_some_and(|job| job.index == index) {
-                    let job = queue.pop_front().expect("head just checked");
-                    drop(queue);
-                    self.queued.fetch_sub(1, Ordering::SeqCst);
-                    return Some((i, job));
-                }
-            }
-            let gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-            // Order matters: read `live` before re-reading `queued`. A
-            // shard's flushes precede its exit, so live == 0 means every
-            // push already happened — a zero `queued` after that is
-            // final, while the reverse order could miss a last-instant
-            // flush and orphan its tickets.
-            let live = self.live_schedulers.load(Ordering::SeqCst);
-            if self.queued.load(Ordering::SeqCst) > 0 {
-                continue;
-            }
-            if live == 0 {
-                return None;
-            }
-            // The timeout is belt-and-braces against any missed wakeup;
-            // the gate discipline above should make it unnecessary.
-            match self.available.wait_timeout(gate, Duration::from_millis(50)) {
-                Ok((guard, _)) => drop(guard),
-                Err(poisoned) => drop(poisoned.into_inner()),
-            }
-        }
-    }
-
-    /// Marks one scheduler shard as exited (all its batches flushed).
-    fn scheduler_done(&self) {
-        self.live_schedulers.fetch_sub(1, Ordering::SeqCst);
-        drop(self.gate.lock().unwrap_or_else(|e| e.into_inner()));
-        self.available.notify_all();
-    }
-}
-
 /// One admitted request traveling through the runtime.
 struct Submission {
     tenant: String,
     prepared: PreparedSpec,
     budget: Budget,
-    /// The batch key, computed once on the submit path; it also chose
-    /// `shard`.
+    /// The batch key, computed once on the submit path.
     key: BatchKey,
-    /// The scheduler shard that admitted this request (for the per-shard
-    /// queue gauges).
-    shard: usize,
     /// The request's trace id, allocated at dispatch; every event this
     /// request produces (`request.submit` / `.reject` / `.complete`)
     /// carries it.
@@ -1386,8 +1228,7 @@ struct OpenBatch {
 pub struct Client<'a> {
     server: &'a Server,
     metrics: &'a ServerMetrics,
-    /// One submission channel per scheduler shard.
-    txs: Vec<Sender<Submission>>,
+    tx: Sender<Submission>,
 }
 
 impl Clone for Client<'_> {
@@ -1395,7 +1236,7 @@ impl Clone for Client<'_> {
         Self {
             server: self.server,
             metrics: self.metrics,
-            txs: self.txs.clone(),
+            tx: self.tx.clone(),
         }
     }
 }
@@ -1420,9 +1261,9 @@ impl Client<'_> {
     }
 
     /// Submits a spec on behalf of `tenant`, requesting one release at
-    /// `budget`. Spec translation, tenant lookup, and the noise-model
-    /// check fail synchronously; everything later (budget, compile,
-    /// answer) arrives through the returned [`Ticket`].
+    /// `budget`. The noise-model check, spec translation, tenant lookup
+    /// and the queue-depth cap fail synchronously; everything later
+    /// (budget, compile, answer) arrives through the returned [`Ticket`].
     ///
     /// The budget's flavor must match the server's: a Gaussian server
     /// only grants (ε, δ) releases with δ > 0, a pure server only
@@ -1434,18 +1275,19 @@ impl Client<'_> {
         spec: &QuerySpec,
         budget: Budget,
     ) -> Result<Ticket, ServerError> {
-        let (prepared, key, shard) = self.admit(tenant, spec, budget)?;
-        let (tx, rx) = mpsc::channel();
-        self.dispatch(tenant, prepared, key, shard, budget, Responder::channel(tx))?;
-        Ok(Ticket { rx })
+        self.enqueue(tenant, spec, budget, || {
+            let (tx, rx) = mpsc::channel();
+            (Ticket { rx }, Responder::channel(tx))
+        })
     }
 
     /// Submits a spec whose completion is delivered into `set` — the
     /// evented path: one driver thread submits until its in-flight
     /// window is full, then harvests with [`TicketSet::wait_any`] /
     /// [`TicketSet::poll`]. Returns the set token identifying this
-    /// submission's completion. Synchronous failures (spec, tenant,
-    /// overload, shutdown) are returned here and never enter the set.
+    /// submission's completion. Synchronous failures (noise model, spec,
+    /// tenant, overload, shutdown) are returned here and never enter the
+    /// set.
     pub fn submit_budget_into(
         &self,
         tenant: &str,
@@ -1453,56 +1295,25 @@ impl Client<'_> {
         budget: Budget,
         set: &TicketSet,
     ) -> Result<u64, ServerError> {
-        let (prepared, key, shard) = self.admit(tenant, spec, budget)?;
-        let (token, responder) = set.register();
-        self.dispatch(tenant, prepared, key, shard, budget, responder)?;
-        Ok(token)
+        self.enqueue(tenant, spec, budget, || set.register())
     }
 
-    /// Pure-ε shorthand for [`Client::submit_budget_into`].
-    pub fn submit_into(
-        &self,
-        tenant: &str,
-        spec: &QuerySpec,
-        eps: Epsilon,
-        set: &TicketSet,
-    ) -> Result<u64, ServerError> {
-        self.submit_budget_into(tenant, spec, Budget::pure(eps), set)
-    }
-
-    /// Submits a spec whose completion invokes `callback` on the worker
-    /// thread that finished the batch (or the thread that rejected the
-    /// request). Keep callbacks short — they run inside the serving
-    /// pipeline. Synchronous failures are returned here; the callback
-    /// then never runs.
-    pub fn submit_budget_with(
+    /// Both submit flavors: the synchronous checks (noise model, spec
+    /// translation, tenant existence, the queue-depth cap), then the
+    /// hand-off to the scheduler. `responder` builds the completion path
+    /// only once the request is admitted. If the scheduler is gone
+    /// (shutdown), the queue slot is released and the responder defused
+    /// — the caller gets the error synchronously, so nothing flows
+    /// through the completion path.
+    fn enqueue<T>(
         &self,
         tenant: &str,
         spec: &QuerySpec,
         budget: Budget,
-        callback: impl FnOnce(Completion) + Send + 'static,
-    ) -> Result<(), ServerError> {
-        let (prepared, key, shard) = self.admit(tenant, spec, budget)?;
-        self.dispatch(
-            tenant,
-            prepared,
-            key,
-            shard,
-            budget,
-            Responder::callback(callback),
-        )
-    }
-
-    /// The synchronous half of every submit flavor: noise-model check,
-    /// spec translation, tenant existence, shard routing, and bounded
-    /// admission against the admitting shard's queue.
-    fn admit(
-        &self,
-        tenant: &str,
-        spec: &QuerySpec,
-        budget: Budget,
-    ) -> Result<(PreparedSpec, BatchKey, usize), ServerError> {
-        let flavor = self.server.options.flavor;
+        responder: impl FnOnce() -> (T, Responder),
+    ) -> Result<T, ServerError> {
+        let server = self.server;
+        let flavor = server.options.flavor;
         let mismatched = match flavor {
             NoiseFlavor::PureDp => !budget.is_pure(),
             NoiseFlavor::ApproxDp => budget.is_pure(),
@@ -1513,83 +1324,54 @@ impl Client<'_> {
                 delta: budget.delta(),
             });
         }
-        let prepared = spec
-            .compile(&self.server.schema)
-            .map_err(ServerError::Spec)?;
-        if self.server.tenants.get(tenant).is_none() {
+        let prepared = spec.compile(&server.schema).map_err(ServerError::Spec)?;
+        if server.tenants.get(tenant).is_none() {
             return Err(ServerError::Admission(AdmissionError::UnknownTenant {
                 tenant: tenant.to_string(),
             }));
         }
-        let key = BatchKey::of(&prepared, budget, self.server.coalesce_across_eps);
-        let shard = key.shard(self.server.shards);
-        if let Some(cap) = self.server.max_queue_depth {
-            // Bounded admission: shed synchronously at the cap instead
-            // of growing the queue without bound. The cap divides evenly
-            // across shards (so total capacity is preserved and a hot
-            // shard sheds before it starves the rest); the shed request
-            // never enters the queue accounting (no submit, no latency
-            // sample). `retry_after` comes from the admitting shard's
-            // own backlog: one coalescing window per `max_batch`-sized
-            // batch already ahead in that queue.
-            let shard_cap = cap.div_ceil(self.server.shards);
-            let depth = self.metrics.shard_depth(shard);
-            if depth as usize >= shard_cap {
-                self.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                let batches_ahead = (depth / self.server.max_batch as u64).clamp(1, 64);
-                let window = self.server.coalesce_window.max(Duration::from_millis(1));
-                return Err(ServerError::Overloaded {
-                    retry_after: window * batches_ahead as u32,
-                });
-            }
+        // Bounded admission: reserve a queue slot in one step, or shed
+        // synchronously at the cap instead of growing the queue without
+        // bound. A shed request never enters the queue accounting (no
+        // submit, no latency sample). `retry_after` is one coalescing
+        // window per `max_batch`-sized batch already queued.
+        if let Err(depth) = self.metrics.enqueue(server.max_queue_depth) {
+            let batches_ahead = (depth / server.max_batch as u64).clamp(1, 64);
+            let window = server.coalesce_window.max(Duration::from_millis(1));
+            return Err(ServerError::Overloaded {
+                retry_after: window * batches_ahead as u32,
+            });
         }
-        Ok((prepared, key, shard))
-    }
-
-    /// The enqueue half: queue accounting, then hand the submission to
-    /// its shard. On a dead shard (shutdown) the accounting is rolled
-    /// back and the responder defused — the caller gets the error
-    /// synchronously, so nothing flows through the completion path.
-    fn dispatch(
-        &self,
-        tenant: &str,
-        prepared: PreparedSpec,
-        key: BatchKey,
-        shard: usize,
-        budget: Budget,
-        responder: Responder,
-    ) -> Result<(), ServerError> {
-        self.metrics.enqueued(shard);
+        let key = BatchKey::of(&prepared, budget, server.coalesce_across_eps);
         let trace = lrm_obs::next_trace_id();
         lrm_obs::event!(in trace; "request.submit",
             tenant = tenant.to_string(),
-            shard = shard,
             rows = prepared.num_queries(),
             eps = budget.eps().value(),
             delta = budget.delta(),
         );
+        let (handle, responder) = responder();
         let sub = Submission {
             tenant: tenant.to_string(),
             prepared,
             budget,
             key,
-            shard,
             trace,
             submitted_at: Instant::now(),
             responder,
         };
-        if let Err(mpsc::SendError(sub)) = self.txs[shard].send(sub) {
-            // Shard gone (shutdown mid-submit); roll the queue
+        if let Err(mpsc::SendError(sub)) = self.tx.send(sub) {
+            // Scheduler gone (shutdown mid-submit); roll the queue
             // accounting back without recording a latency sample — the
             // request never entered the queue, and a synthetic zero
             // would drag p50/p99 down.
-            self.metrics.enqueue_rolled_back(shard);
+            self.metrics.enqueue_rolled_back();
             let trace = sub.trace;
-            lrm_obs::event!(in trace; "request.reject", shard = shard, reason = "shutdown");
+            lrm_obs::event!(in trace; "request.reject", reason = "shutdown");
             sub.responder.defuse();
             return Err(ServerError::Shutdown);
         }
-        Ok(())
+        Ok(handle)
     }
 }
 
@@ -1714,14 +1496,13 @@ pub enum ServerError {
         /// The quarantined shape's identity hash.
         shape: u64,
     },
-    /// The request was shed at submission: the admitting scheduler
-    /// shard's queue is at its depth cap (see
-    /// [`ServerBuilder::max_queue_depth`]). Nothing was admitted and no
-    /// budget was touched.
+    /// The request was shed at submission: the queue is at its depth
+    /// cap (see [`ServerBuilder::max_queue_depth`]). Nothing was
+    /// admitted and no budget was touched.
     Overloaded {
-        /// A resubmission hint scaled to the admitting shard's backlog:
-        /// one coalescing window per `max_batch`-sized batch already
-        /// queued ahead (at least one window, at most 64).
+        /// A resubmission hint scaled to the backlog: one coalescing
+        /// window per `max_batch`-sized batch already queued ahead (at
+        /// least one window, at most 64).
         retry_after: Duration,
     },
     /// The server's durable state (noise-epoch file or state directory)

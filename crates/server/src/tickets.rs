@@ -8,18 +8,15 @@
 //! of submissions can be routed into, so **one** client thread can drive
 //! tens of thousands of in-flight requests — submit until the window is
 //! full, then harvest completions with [`TicketSet::poll`] /
-//! [`TicketSet::wait_any`] and top the window back up. Per-ticket callbacks
-//! ([`Client::submit_budget_with`](crate::Client::submit_budget_with)) cover
-//! the remaining shapes: the closure runs on the worker thread that
-//! completed the batch, right where the release is produced.
+//! [`TicketSet::wait_any`] and top the window back up.
 //!
-//! All three delivery styles funnel through one internal type,
-//! `Responder`: the worker calls `Responder::send` exactly once per
-//! submission. A responder that is dropped unfired — a scheduler or worker
-//! tearing down with the submission still queued — delivers
-//! `Err(ServerError::Shutdown)` from its `Drop` impl, so no ticket, set
-//! entry, or callback is ever silently lost: the drop guard is what lets
-//! `TicketSet::wait_any` promise it never hangs on a crashed runtime.
+//! Both delivery styles funnel through one internal type, `Responder`:
+//! the worker calls `Responder::send` exactly once per submission. A
+//! responder that is dropped unfired — a scheduler or worker tearing down
+//! with the submission still queued — delivers `Err(ServerError::Shutdown)`
+//! from its `Drop` impl, so no ticket or set entry is ever silently lost:
+//! the drop guard is what lets `TicketSet::wait_any` promise it never
+//! hangs on a crashed runtime.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,20 +42,12 @@ enum ResponderKind {
     /// Evented path: push `(token, outcome)` onto the owning
     /// [`TicketSet`]'s completion queue.
     Set { shared: Arc<SetShared>, token: u64 },
-    /// Callback path: run the closure on the completing worker thread.
-    Callback(Box<dyn FnOnce(Completion) + Send + 'static>),
 }
 
 impl Responder {
     pub fn channel(tx: Sender<Completion>) -> Self {
         Responder {
             kind: Some(ResponderKind::Channel(tx)),
-        }
-    }
-
-    pub fn callback(f: impl FnOnce(Completion) + Send + 'static) -> Self {
-        Responder {
-            kind: Some(ResponderKind::Callback(Box::new(f))),
         }
     }
 
@@ -106,7 +95,6 @@ impl ResponderKind {
                 drop(state);
                 shared.cv.notify_one();
             }
-            ResponderKind::Callback(f) => f(outcome),
         }
     }
 }
@@ -116,7 +104,6 @@ impl std::fmt::Debug for Responder {
         let kind = match &self.kind {
             Some(ResponderKind::Channel(_)) => "Channel",
             Some(ResponderKind::Set { .. }) => "Set",
-            Some(ResponderKind::Callback(_)) => "Callback",
             None => "Fired",
         };
         f.debug_struct("Responder").field("kind", &kind).finish()
@@ -314,14 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn callback_runs_on_send_and_drop_guard_fires_channels() {
-        let (tx, rx) = mpsc::channel();
-        let responder = Responder::callback(move |outcome| {
-            tx.send(outcome).unwrap();
-        });
-        responder.send(Err(ServerError::Shutdown));
-        assert!(matches!(rx.recv(), Ok(Err(ServerError::Shutdown))));
-
+    fn dropped_channel_responder_surfaces_shutdown() {
         let (tx, rx) = mpsc::channel();
         drop(Responder::channel(tx));
         assert!(matches!(rx.recv(), Ok(Err(ServerError::Shutdown))));

@@ -17,7 +17,7 @@
 use lrm_core::engine::{Engine, MechanismKind};
 use lrm_core::mechanism::Mechanism;
 use lrm_dp::rng::derive_rng;
-use lrm_dp::{BudgetError, Epsilon};
+use lrm_dp::{Budget, BudgetError, Epsilon};
 use lrm_linalg::operator::densification_count;
 use lrm_server::{AdmissionError, QuerySpec, Server, ServerError};
 use lrm_workload::{Attribute, Schema, Workload};
@@ -391,22 +391,19 @@ fn concurrent_clients_all_get_answers() {
 }
 
 #[test]
-fn sharded_serving_is_bit_identical_to_single_shard() {
-    // ISSUE 9 satellite: sharding the scheduler must not perturb a
-    // single answer bit. The shard key is a strict coarsening of the
-    // batch key, so a coalescible group always meets on one shard, and
-    // the batch index (the noise-stream label) comes from the shared
-    // server-lifetime counter — under the same seed a sharded server
-    // must therefore reproduce the unsharded answers exactly. Two
-    // sequential phases at different ε (different batch keys, generally
-    // different shards) keep the index assignment deterministic.
-    let run = |shards: usize| -> Vec<lrm_server::Release> {
+fn pinned_seed_servers_release_bit_identical_answers() {
+    // Two servers under the same pinned seed must release the same
+    // answer bits at the same batch indices: the batch index (the
+    // noise-stream label) comes from the server-lifetime counter, and
+    // batch formation here is count-closed, so nothing depends on timing.
+    // Two sequential phases at different ε (different batch keys) keep
+    // the index assignment deterministic.
+    let run = || -> Vec<lrm_server::Release> {
         let server = Server::builder(schema(), data())
             .mechanism(MechanismKind::Lrm)
             .max_batch(2) // count-closed: no timing in batch formation
             .coalesce_window(std::time::Duration::from_secs(60))
             .workers(3)
-            .shards(shards)
             .seed(SEED)
             .build()
             .unwrap();
@@ -424,8 +421,9 @@ fn sharded_serving_is_bit_identical_to_single_shard() {
             // Phase 1 (batch 0): one ε=0.5 batch, both members, via the
             // evented TicketSet path.
             let set = lrm_server::TicketSet::new();
-            let ta = client.submit_into("a", &spec_a, eps(0.5), &set).unwrap();
-            let tb = client.submit_into("b", &spec_b, eps(0.5), &set).unwrap();
+            let half = Budget::pure(eps(0.5));
+            let ta = client.submit_budget_into("a", &spec_a, half, &set).unwrap();
+            let tb = client.submit_budget_into("b", &spec_b, half, &set).unwrap();
             let mut phase1: Vec<(u64, lrm_server::Release)> = Vec::new();
             while let Some((token, outcome)) = set.wait_any() {
                 phase1.push((token, outcome.unwrap()));
@@ -433,9 +431,8 @@ fn sharded_serving_is_bit_identical_to_single_shard() {
             phase1.sort_by_key(|(token, _)| *token);
             assert_eq!(phase1.len(), 2);
             assert_eq!((phase1[0].0, phase1[1].0), (ta, tb));
-            // Phase 2 (batch 1): a different ε — a different batch key,
-            // and on a sharded server generally a different shard — via
-            // the blocking path.
+            // Phase 2 (batch 1): a different ε — a different batch key —
+            // via the blocking path.
             let ra = client.submit("a", &spec_a, eps(0.25)).unwrap();
             let rb = client.submit("b", &spec_b, eps(0.25)).unwrap();
             let mut out: Vec<lrm_server::Release> = phase1.into_iter().map(|(_, r)| r).collect();
@@ -445,8 +442,6 @@ fn sharded_serving_is_bit_identical_to_single_shard() {
         });
         assert_eq!(report.metrics.answered, 4);
         assert_eq!(report.metrics.batches, 2);
-        assert_eq!(report.metrics.shard_depths.len(), shards);
-        assert_eq!(report.metrics.shard_depths.iter().sum::<u64>(), 0);
         // Both phases' indices are deterministic: phase 1 completed
         // before phase 2 submitted.
         releases.sort_by_key(|r| (r.batch_index, r.answers.len()));
@@ -455,15 +450,12 @@ fn sharded_serving_is_bit_identical_to_single_shard() {
         releases
     };
 
-    let unsharded = run(1);
-    let sharded = run(8);
-    for (u, s) in unsharded.iter().zip(&sharded) {
-        assert_eq!(
-            u.answers, s.answers,
-            "sharding changed a released answer bit"
-        );
-        assert_eq!(u.batch_index, s.batch_index);
-        assert_eq!(u.batch_size, s.batch_size);
-        assert_eq!(u.eps_remaining, s.eps_remaining);
+    let first = run();
+    let second = run();
+    for (x, y) in first.iter().zip(&second) {
+        assert_eq!(x.answers, y.answers, "a released answer bit changed");
+        assert_eq!(x.batch_index, y.batch_index);
+        assert_eq!(x.batch_size, y.batch_size);
+        assert_eq!(x.eps_remaining, y.eps_remaining);
     }
 }

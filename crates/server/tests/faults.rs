@@ -234,6 +234,70 @@ fn bounded_admission_sheds_synchronously_at_the_cap() {
 }
 
 #[test]
+fn concurrent_submitters_never_push_the_queue_past_its_cap() {
+    let _guard = serialized();
+    const CAP: usize = 4;
+    const THREADS: usize = 8;
+    const PER_THREAD: usize = 4;
+    const ROUNDS: usize = 20;
+    let server = Server::builder(schema(16), data(16))
+        .max_batch(64)
+        .coalesce_window(Duration::from_secs(30))
+        .workers(1)
+        .max_queue_depth(CAP)
+        .seed(SEED)
+        .build()
+        .unwrap();
+    server.register_tenant("a", eps(1e6));
+
+    for _ in 0..ROUNDS {
+        // Every admitted request parks in the 30 s window, so the depth
+        // only grows until shutdown: without an atomic reservation, two
+        // submitters that both read depth CAP − 1 both get in.
+        let barrier = std::sync::Barrier::new(THREADS);
+        let (tickets, report) = server.serve(|client| {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        let client = client.clone();
+                        let barrier = &barrier;
+                        s.spawn(move || {
+                            barrier.wait();
+                            (0..PER_THREAD)
+                                .filter_map(|_| {
+                                    match client.submit("a", &QuerySpec::Total, eps(0.5)) {
+                                        Ok(ticket) => Some(ticket),
+                                        Err(ServerError::Overloaded { .. }) => None,
+                                        Err(e) => panic!("unexpected refusal: {e}"),
+                                    }
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap())
+                    .collect::<Vec<_>>()
+            })
+        });
+        let m = &report.metrics;
+        assert!(
+            m.peak_queue_depth <= CAP as u64,
+            "peak depth {} over the cap {CAP}",
+            m.peak_queue_depth
+        );
+        assert_eq!(m.submitted + m.shed, (THREADS * PER_THREAD) as u64);
+        assert_eq!(m.submitted, tickets.len() as u64);
+        // Every admitted request still resolves at shutdown.
+        for ticket in tickets {
+            assert!(ticket.wait().is_ok());
+        }
+        assert_eq!(m.answered, m.submitted);
+    }
+}
+
+#[test]
 fn wait_timeout_distinguishes_in_flight_from_resolved() {
     let _guard = serialized();
     let server = Server::builder(schema(16), data(16))

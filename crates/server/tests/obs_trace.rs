@@ -34,7 +34,6 @@ use std::time::Duration;
 const ALLOWED_KEYS: &[&str] = &[
     // request lifecycle
     "tenant",
-    "shard",
     "rows",
     "eps",
     "delta",
