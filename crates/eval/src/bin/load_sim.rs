@@ -12,7 +12,9 @@
 //! Every run prints one result line (see `lrm_eval::report::Verdict`) and
 //! exits 1 if and only if a check failed, each failed check named on
 //! stderr as `FAIL: <check>`. The default run gates the comparison on
-//! the given configuration: strictly higher coalescing throughput, zero
+//! the given configuration, pooled over
+//! [`SERVING_PAIRS`](lrm_eval::experiments::serving::SERVING_PAIRS)
+//! interleaved pairs: strictly higher coalescing throughput, zero
 //! ε or δ over-spend, zero densifications, and at least one coalesced
 //! batch ([`ServingReport::gate`](lrm_eval::experiments::serving::ServingReport::gate)).
 //!
