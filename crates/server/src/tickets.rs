@@ -275,6 +275,10 @@ mod tests {
             Some((t, Err(ServerError::Shutdown))) => assert_eq!(t, token),
             other => panic!("expected shutdown completion, got {other:?}"),
         }
+
+        let (tx, rx) = mpsc::channel();
+        drop(Responder::channel(tx));
+        assert!(matches!(rx.recv(), Ok(Err(ServerError::Shutdown))));
     }
 
     #[test]
@@ -298,12 +302,5 @@ mod tests {
         responder.send(Err(ServerError::Shutdown));
         let got = waiter.join().expect("waiter thread");
         assert!(matches!(got, Some((0, Err(ServerError::Shutdown)))));
-    }
-
-    #[test]
-    fn dropped_channel_responder_surfaces_shutdown() {
-        let (tx, rx) = mpsc::channel();
-        drop(Responder::channel(tx));
-        assert!(matches!(rx.recv(), Ok(Err(ServerError::Shutdown))));
     }
 }
