@@ -114,11 +114,11 @@ impl EventedConfig {
 }
 
 /// Replays the trace through the legacy front end: one OS thread per
-/// virtual client, each holding a `burst`-deep
-/// pipeline of blocking tickets. The client threads run on small stacks
-/// (the drive loop is shallow) so the 10⁴-thread population stays cheap
-/// in memory; what it can't avoid is the scheduler cost of 10⁴ runnable
-/// threads, which is exactly what the comparison measures.
+/// virtual client, each holding a `burst`-deep pipeline of blocking
+/// tickets. The client threads run on small stacks (the drive loop is
+/// shallow) so the 10⁴-thread population stays cheap in memory; what it
+/// can't avoid is the scheduler cost of 10⁴ runnable threads, which is
+/// exactly what the comparison measures.
 pub fn run_blocking_mode(cfg: &EventedConfig, trace: &Trace) -> ServingRunStats {
     let scfg = &cfg.serving;
     let server = build_server(scfg, trace, ServingMode::Coalescing);
