@@ -14,9 +14,10 @@
 //!   keyed by the workload's content [`lrm_workload::Fingerprint`];
 //! * [`Engine::compile_best`] — argmin over a panel of kinds by
 //!   closed-form expected error (free: it reads only public quantities);
-//! * [`Session`] — answering under a [`BudgetLedger`](lrm_dp::BudgetLedger):
-//!   each release debits ε, and exhaustion is a typed error, not a silent
-//!   over-spend.
+//! * [`Session`] — answering under an in-memory
+//!   [`DurableLedger`](lrm_dp::DurableLedger): each release reserves its
+//!   ε before noise is drawn and settles after, and exhaustion is a typed
+//!   error, not a silent over-spend.
 //!
 //! ```
 //! use lrm_core::engine::{Engine, MechanismKind};
@@ -1100,12 +1101,16 @@ mod tests {
         assert_eq!(session.ledger().delta_spent(), before);
 
         // A pure session over the Gaussian strategy can't release at all:
-        // answer() is rejected by the mechanism before any debit.
+        // answer() reserves ε, the mechanism rejects the pure request, and
+        // the reservation is aborted. `spent()` leaves live reservations
+        // out, so only `remaining()` shows that the abort refunded it.
         let mut pure_session = compiled.session(eps(1.0));
         assert!(pure_session
             .answer(&x, eps(0.5), &mut derive_rng(1, 3))
             .is_err());
         assert_eq!(pure_session.ledger().spent(), 0.0);
+        assert_eq!(pure_session.ledger().remaining(), 1.0);
+        assert_eq!(pure_session.ledger().pending(), 0);
     }
 
     #[test]

@@ -3,36 +3,34 @@
 use crate::engine::CompiledMechanism;
 use crate::error::CoreError;
 use crate::mechanism::Mechanism;
-use lrm_dp::{Budget, BudgetError, BudgetLedger, Epsilon};
+use lrm_dp::{Budget, BudgetError, DurableError, DurableLedger, Epsilon};
 use rand::RngCore;
 use std::fmt;
 use std::sync::Arc;
 
-/// A serving session: one compiled strategy plus a [`BudgetLedger`]
-/// enforcing sequential composition across releases.
+/// A serving session: one compiled strategy plus an in-memory
+/// [`DurableLedger`] enforcing sequential composition across releases.
 ///
-/// Every [`answer`](Session::answer) debits its ε from the ledger *after*
-/// the release succeeds; once the total is spent further answers fail with
+/// Every [`answer`](Session::answer) runs the ledger's two-phase debit:
+/// its ε is reserved before the mechanism draws noise, settled once the
+/// release succeeds, and refunded if answering fails. Once the total is
+/// spent further answers fail with
 /// [`EngineError::Budget`]\([`BudgetError::Exhausted`]\) instead of
 /// silently over-spending. Approximate-DP sessions
 /// ([`Session::open_budget`]) compose δ the same way: both components are
-/// checked and debited per release. The strategy itself is shared
+/// reserved and debited per release. The strategy itself is shared
 /// (cheaply, via `Arc`) with the engine cache — opening a session costs
 /// nothing.
 pub struct Session {
     mechanism: Arc<dyn Mechanism + Send + Sync>,
     label: &'static str,
-    ledger: BudgetLedger,
+    ledger: DurableLedger,
 }
 
 impl Session {
     /// Opens a session over a compiled strategy with a total ε budget.
     pub fn open(compiled: &CompiledMechanism, total: Epsilon) -> Self {
-        Self {
-            mechanism: compiled.shared_mechanism(),
-            label: compiled.meta().label,
-            ledger: BudgetLedger::new(total),
-        }
+        Self::open_budget(compiled, Budget::pure(total))
     }
 
     /// Opens a session with a total (ε, δ) budget — required for
@@ -41,40 +39,30 @@ impl Session {
         Self {
             mechanism: compiled.shared_mechanism(),
             label: compiled.meta().label,
-            ledger: BudgetLedger::with_budget(total),
+            ledger: DurableLedger::in_memory_budget(total),
         }
     }
 
     /// One noisy release of the whole batch at `eps`, debited from the
     /// session budget.
     ///
-    /// The debit happens only if the release succeeds; a refused debit
-    /// leaves the ledger (and the data) untouched.
+    /// The debit settles only if the release succeeds; a refused or
+    /// failed release leaves the ledger (and the data) untouched.
     pub fn answer(
         &mut self,
         x: &[f64],
         eps: Epsilon,
         rng: &mut dyn RngCore,
     ) -> Result<BatchAnswer, EngineError> {
-        self.ledger.check(eps)?;
-        let answers = self.mechanism.answer(x, eps, rng)?;
-        let eps_remaining = self
-            .ledger
-            .debit(eps)
-            .expect("debit cannot fail after check");
-        Ok(BatchAnswer {
-            answers,
-            eps_spent: eps,
-            eps_remaining,
-            delta_spent: 0.0,
-            delta_remaining: self.ledger.delta_remaining(),
-            expected_avg_error: self.mechanism.expected_average_error(eps, Some(x)),
-            mechanism: self.label,
-        })
+        self.release(
+            Budget::pure(eps),
+            |m| m.answer(x, eps, rng),
+            |m| m.expected_average_error(eps, Some(x)),
+        )
     }
 
     /// One noisy release of the whole batch at an (ε, δ) `budget`, with
-    /// both components checked against and debited from the session
+    /// both components reserved against and debited from the session
     /// ledger. This is the only release path a Gaussian strategy accepts.
     pub fn answer_budget(
         &mut self,
@@ -82,21 +70,41 @@ impl Session {
         budget: Budget,
         rng: &mut dyn RngCore,
     ) -> Result<BatchAnswer, EngineError> {
-        self.ledger.check_budget(budget)?;
-        let answers = self.mechanism.answer_budget(x, budget, rng)?;
-        let eps_remaining = self
-            .ledger
-            .debit_budget(budget)
-            .expect("debit cannot fail after check");
+        self.release(
+            budget,
+            |m| m.answer_budget(x, budget, rng),
+            |m| m.expected_average_error_budget(budget, Some(x)),
+        )
+    }
+
+    /// Reserves `budget`, draws the release, then settles (or, if `draw`
+    /// fails, aborts) the reservation.
+    fn release(
+        &self,
+        budget: Budget,
+        draw: impl FnOnce(&dyn Mechanism) -> Result<Vec<f64>, CoreError>,
+        expected_avg_error: impl FnOnce(&dyn Mechanism) -> f64,
+    ) -> Result<BatchAnswer, EngineError> {
+        let id = self.ledger.begin_budget(budget).map_err(|e| match e {
+            DurableError::Budget(e) => EngineError::Budget(e),
+            // A session's ledger is in memory: it has no journal to fail.
+            DurableError::Io(e) => unreachable!("in-memory ledger reported I/O: {e}"),
+        })?;
+        let answers = match draw(&*self.mechanism) {
+            Ok(answers) => answers,
+            Err(e) => {
+                self.ledger.abort(id);
+                return Err(e.into());
+            }
+        };
+        let eps_remaining = self.ledger.settle(id);
         Ok(BatchAnswer {
             answers,
             eps_spent: budget.eps(),
             eps_remaining,
             delta_spent: budget.delta(),
             delta_remaining: self.ledger.delta_remaining(),
-            expected_avg_error: self
-                .mechanism
-                .expected_average_error_budget(budget, Some(x)),
+            expected_avg_error: expected_avg_error(&*self.mechanism),
             mechanism: self.label,
         })
     }
@@ -112,7 +120,7 @@ impl Session {
     }
 
     /// The underlying ledger (total, spent, debit count).
-    pub fn ledger(&self) -> &BudgetLedger {
+    pub fn ledger(&self) -> &DurableLedger {
         &self.ledger
     }
 

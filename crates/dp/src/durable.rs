@@ -1,9 +1,31 @@
-//! The (ε, δ)-budget ledger of the serving runtime: [`DurableLedger`].
+//! The (ε, δ)-budget ledger: [`DurableLedger`].
 //!
-//! A [`DurableLedger`] enforces the same sequential-composition rule as
-//! [`BudgetLedger`], from many threads at once, through a two-phase
-//! debit protocol and an optional write-ahead journal
-//! ([`crate::journal`]):
+//! Sequential composition: releases `M₁(x), …, M_k(x)` with budgets
+//! `(ε₁, δ₁), …, (ε_k, δ_k)` jointly satisfy `(Σεᵢ, Σδᵢ)`-DP (the same
+//! theorem behind [`Epsilon::split`]). A [`DurableLedger`] enforces the
+//! contrapositive: it holds a fixed (ε, δ) total, debits every release
+//! in both columns, and refuses any debit that would push *either*
+//! column past its total, so no caller can silently exceed its
+//! advertised guarantee. A ledger opened with
+//! [`in_memory`](DurableLedger::in_memory) holds δ-total 0 and refuses
+//! every approximate-DP debit.
+//!
+//! Two guards make the rule exact under f64 rounding, per column:
+//!
+//! * **one slack:** a debit may exceed what remains by at most one
+//!   relative slack (`total × 1e-9`), so ten debits of ε/10 sum to ε;
+//!   the spend is clamped at the total;
+//! * **dust:** an exhausted column refuses *every* debit, however
+//!   small, so sub-slack dust cannot keep releasing while the spend
+//!   stays clamped.
+//!
+//! Together they bound the true cumulative spend by the total plus one
+//! slack over the ledger's whole lifetime. A pure (δ = 0) debit never
+//! consults the δ column, so pure traffic still flows through a
+//! δ-exhausted ledger.
+//!
+//! Many threads may share one ledger. Each debit runs a two-phase
+//! protocol, optionally over a write-ahead journal ([`crate::journal`]):
 //!
 //! 1. [`begin_budget`](DurableLedger::begin_budget) *reserves* the
 //!    budget and, with a journal, appends a fsync'd `Intent` record —
@@ -23,21 +45,20 @@
 //!
 //! Each spend column (ε, and δ under approximate DP) lives in an
 //! `AtomicU64` holding f64 bits, and a reservation is one CAS loop that
-//! replicates [`BudgetLedger::check`] and its debit clamp atomically:
+//! applies the rule above atomically:
 //!
 //! 1. load the current spend, evaluate the exact sequential predicate
-//!    (exhaustion guard + one-slack headroom) against it;
+//!    (dust guard + one-slack headroom) against it;
 //! 2. on pass, CAS the clamped new spend in; a lost race simply reloads
 //!    and re-checks.
 //!
-//! Every successful CAS is therefore indistinguishable from a
-//! `BudgetLedger::debit` executed at its linearization point, so any
-//! concurrent history is equivalent to some sequential one and inherits
-//! the sequential ledger's lifetime over-spend bound (one rounding
-//! slack, `total × 1e-9`) and dust guard unchanged. A both-column
-//! reservation takes ε first and δ second; a δ refusal rolls back
-//! exactly the ε amount that was applied (post-clamp), so a refused
-//! approximate debit leaves both columns untouched at quiescence.
+//! Every successful CAS is therefore a sequential debit executed at its
+//! linearization point, so any concurrent history is equivalent to some
+//! sequential one and keeps the one-slack bound and the dust guard. A
+//! both-column reservation takes ε first and δ second; a δ refusal
+//! rolls back exactly the ε amount that was applied (post-clamp), so a
+//! refused approximate debit leaves both columns untouched at
+//! quiescence.
 //!
 //! Admission checks and refused reservations never take a lock. Only
 //! the settlement bookkeeping — the pending-intent map, the next intent
@@ -62,7 +83,7 @@
 
 use crate::budget::{Budget, Epsilon};
 use crate::journal::{LedgerJournal, Record};
-use crate::ledger::{BudgetError, BudgetLedger, RELATIVE_SLACK};
+use crate::ledger::{BudgetError, RELATIVE_SLACK};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -173,10 +194,10 @@ impl From<BudgetError> for DurableError {
     }
 }
 
-/// One lock-free check-and-debit over a single spend column. Replicates
-/// [`BudgetLedger::check`] + the debit clamp atomically: returns the
-/// amount actually applied (post-clamp) on success, the remaining budget
-/// observed at refusal otherwise.
+/// One lock-free check-and-debit over a single spend column: [`admits`]
+/// and the debit clamp, applied atomically. Returns the amount actually
+/// applied (post-clamp) on success, the remaining budget observed at
+/// refusal otherwise.
 fn column_reserve(bits: &AtomicU64, total: f64, amount: f64) -> Result<f64, f64> {
     let mut cur = bits.load(Ordering::Acquire);
     loop {
@@ -223,10 +244,10 @@ fn column_check(bits: &AtomicU64, total: f64, amount: f64) -> Result<(), f64> {
     admits(f64::from_bits(bits.load(Ordering::Acquire)), total, amount)
 }
 
-/// Exactly [`BudgetLedger::check`] for one column at spend `spent`: an
-/// exhausted column refuses *every* debit (the dust guard), otherwise
-/// one slack of headroom absorbs f64 rounding. A refusal carries the
-/// remaining budget.
+/// The sequential rule for one column at spend `spent`: an exhausted
+/// column refuses *every* debit (the dust guard), otherwise one slack of
+/// headroom absorbs f64 rounding. A refusal carries the remaining
+/// budget.
 fn admits(spent: f64, total: f64, amount: f64) -> Result<(), f64> {
     let remaining = (total - spent).max(0.0);
     if remaining <= total * RELATIVE_SLACK || amount > remaining + total * RELATIVE_SLACK {
@@ -518,25 +539,14 @@ impl DurableLedger {
         self.settlement().pending.len()
     }
 
-    /// A point-in-time copy of the *settled* accounting (live
-    /// reservations excluded, as for [`spent`](DurableLedger::spent)),
-    /// for reporting.
-    pub fn snapshot(&self) -> BudgetLedger {
-        let (spent, delta_spent) = self.settled();
-        BudgetLedger::restore(
-            self.inner.total,
-            spent,
-            self.inner.delta_total,
-            delta_spent,
-            self.debits(),
-        )
-    }
-
     /// Settled (ε, δ) spend: the spend columns minus what live intents
     /// hold. Read under the settlement lock, so no intent settles or
     /// aborts mid-read; a reservation still on its way to the lock shows
     /// as spent for that instant (over-reports, never under-reports).
-    fn settled(&self) -> (f64, f64) {
+    /// One call reads both columns consistently, where
+    /// [`spent`](DurableLedger::spent) and
+    /// [`delta_spent`](DurableLedger::delta_spent) each lock once.
+    pub fn settled(&self) -> (f64, f64) {
         let settlement = self.settlement();
         let (eps, delta) = settlement
             .pending
@@ -612,15 +622,36 @@ impl DurableLedger {
 
 impl fmt::Debug for DurableLedger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("DurableLedger")
-            .field(&self.snapshot())
+        let (spent, delta_spent) = self.settled();
+        f.debug_struct("DurableLedger")
+            .field("total", &self.inner.total)
+            .field("spent", &spent)
+            .field("delta_total", &self.inner.delta_total)
+            .field("delta_spent", &delta_spent)
+            .field("debits", &self.debits())
+            .field("pending", &self.pending())
             .finish()
     }
 }
 
+/// The settled accounting, e.g. `ε-ledger: spent 0.500000/1.000000 over
+/// 1 release(s)`; an (ε, δ) ledger adds its δ column.
 impl fmt::Display for DurableLedger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.snapshot())
+        let (spent, delta_spent) = self.settled();
+        let (total, delta_total) = (self.inner.total, self.inner.delta_total);
+        let debits = self.debits();
+        if delta_total > 0.0 {
+            write!(
+                f,
+                "(ε,δ)-ledger: spent ε {spent:.6}/{total:.6}, δ {delta_spent:.3e}/{delta_total:.3e} over {debits} release(s)"
+            )
+        } else {
+            write!(
+                f,
+                "ε-ledger: spent {spent:.6}/{total:.6} over {debits} release(s)"
+            )
+        }
     }
 }
 
@@ -663,17 +694,6 @@ mod tests {
             l.debit(eps(0.1)),
             Err(DurableError::Budget(BudgetError::Exhausted { .. }))
         ));
-    }
-
-    #[test]
-    fn snapshot_is_a_copy() {
-        let l = DurableLedger::in_memory(eps(1.0));
-        let before = l.snapshot();
-        l.debit(eps(0.5)).unwrap();
-        assert_eq!(before.spent(), 0.0);
-        assert!((l.snapshot().spent() - 0.5).abs() < 1e-15);
-        assert!((l.remaining() - 0.5).abs() < 1e-15);
-        assert!((l.total() - 1.0).abs() < 1e-15);
     }
 
     #[test]

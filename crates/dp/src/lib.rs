@@ -4,17 +4,17 @@
 //! * [`budget`] — the ε privacy budget type with validation and
 //!   sequential-composition arithmetic, plus the approximate-DP
 //!   [`Budget`] `(ε, δ)` pair.
-//! * [`ledger`] — the [`BudgetLedger`], which debits a fixed total
-//!   (ε and, for approximate DP, δ) per release and refuses over-spends
-//!   with a typed [`BudgetError`].
-//! * [`durable`] + [`journal`] — the [`DurableLedger`], the one
-//!   thread-safe ledger the `lrm-server` tenants spend through: lock-free
-//!   (ε, δ) spend columns that keep the one-slack over-spend bound under
-//!   contention, a two-phase debit protocol (intent → settle/abort), and
-//!   an optional CRC-framed write-ahead journal (`LRMJ`, v2 with
-//!   δ-carrying frames) under which a tenant's spend survives process
-//!   restarts and a kill at any instant can only waste budget, never
-//!   refund it.
+//! * [`durable`] + [`journal`] — the [`DurableLedger`], the one budget
+//!   ledger: it debits a fixed total (ε and, for approximate DP, δ) per
+//!   release by sequential composition and refuses over-spends. Library
+//!   `Session`s and `lrm-server` tenants both spend through it. Lock-free
+//!   (ε, δ) spend columns keep the one-slack over-spend bound under
+//!   contention, a two-phase debit protocol (intent → settle/abort)
+//!   reserves before noise is drawn, and an optional CRC-framed
+//!   write-ahead journal (`LRMJ`, v2 with δ-carrying frames) lets a
+//!   tenant's spend survive process restarts: a kill at any instant can
+//!   only waste budget, never refund it.
+//! * [`ledger`] — the typed [`BudgetError`] a refused debit reports.
 //! * [`error`] — the typed [`DpError`] every constructor in this crate
 //!   reports.
 //! * [`laplace`] — Laplace distribution sampling (inverse-CDF), the noise
@@ -47,5 +47,5 @@ pub use durable::{DurableError, DurableLedger, ResumeSummary};
 pub use error::DpError;
 pub use gaussian::{gaussian_profile_delta, Gaussian};
 pub use laplace::Laplace;
-pub use ledger::{BudgetError, BudgetLedger};
+pub use ledger::BudgetError;
 pub use sensitivity::SensitivityNorm;

@@ -1,15 +1,15 @@
 //! Concurrency audit for the budget ledger.
 //!
-//! The sequential [`BudgetLedger`](lrm_dp::BudgetLedger) documents a
-//! lifetime over-spend bound of one rounding slack (`total × 1e-9`);
-//! these tests prove the [`DurableLedger`] preserves that bound when many
-//! threads debit one tenant concurrently — through the atomic (CAS)
-//! reserve path and the two-phase reserve-then-settle protocol, in
-//! *both* the ε and δ columns. Every test runs twice: once on an
-//! in-memory ledger and once on a ledger journaled to a temp file. A
-//! journaled run then reopens its journal and checks that the replayed
-//! spend equals what was settled plus what was reserved but never
-//! resolved, and that this replayed spend keeps the one-slack bound.
+//! The [`DurableLedger`] documents a lifetime over-spend bound of one
+//! rounding slack (`total × 1e-9`) for the sequential rule; these tests
+//! prove that the bound holds when many threads debit one tenant
+//! concurrently — through the atomic (CAS) reserve path and the
+//! two-phase reserve-then-settle protocol, in *both* the ε and δ
+//! columns. Every test runs twice: once on an in-memory ledger and once
+//! on a ledger journaled to a temp file. A journaled run then reopens
+//! its journal and checks that the replayed spend equals what was
+//! settled plus what was reserved but never resolved, and that this
+//! replayed spend keeps the one-slack bound.
 //!
 //! There is no loom in this offline workspace, so the tests shake
 //! interleavings the pedestrian way: many threads, many iterations,

@@ -202,14 +202,14 @@ impl TenantLedgers {
             .unwrap_or_else(|e| e.into_inner())
             .iter()
             .map(|(tenant, ledger)| {
-                let l = ledger.snapshot();
+                let (spent, delta_spent) = ledger.settled();
                 TenantSpend {
                     tenant: tenant.clone(),
-                    total: l.total(),
-                    spent: l.spent(),
-                    delta_total: l.delta_total(),
-                    delta_spent: l.delta_spent(),
-                    releases: l.debits(),
+                    total: ledger.total(),
+                    spent,
+                    delta_total: ledger.delta_total(),
+                    delta_spent,
+                    releases: ledger.debits(),
                 }
             })
             .collect();

@@ -12,7 +12,7 @@
 //!   nonmonotone spectral projected gradient, log-sum-exp smoothing
 //!   (Appendix B);
 //! * [`dp`] — Laplace noise, sensitivity arithmetic, privacy budgets and
-//!   the sequential-composition [`BudgetLedger`](lrm_dp::BudgetLedger);
+//!   the sequential-composition [`DurableLedger`](lrm_dp::DurableLedger);
 //! * [`workload`] — the paper's WDiscrete / WRange / WRelated workload
 //!   generators plus synthetic stand-ins for the Search Logs / Net Trace /
 //!   Social Network datasets, each workload carrying a content
@@ -112,7 +112,7 @@ pub mod prelude {
     pub use lrm_core::mechanism::Mechanism;
     pub use lrm_core::CoreError;
     pub use lrm_dp::budget::Epsilon;
-    pub use lrm_dp::{BudgetError, BudgetLedger, DpError, DurableLedger};
+    pub use lrm_dp::{BudgetError, DpError, DurableLedger};
     pub use lrm_linalg::operator::{CsrOp, DenseOp, IntervalsOp, MatrixOp};
     pub use lrm_linalg::Matrix;
     pub use lrm_server::{
