@@ -57,7 +57,7 @@ impl Session {
         self.release(
             Budget::pure(eps),
             |m| m.answer(x, eps, rng),
-            |m| m.expected_average_error(eps, Some(x)),
+            |m| m.expected_average_error(eps, None),
         )
     }
 
@@ -73,12 +73,15 @@ impl Session {
         self.release(
             budget,
             |m| m.answer_budget(x, budget, rng),
-            |m| m.expected_average_error_budget(budget, Some(x)),
+            |m| m.expected_average_error_budget(budget, None),
         )
     }
 
     /// Reserves `budget`, draws the release, then settles (or, if `draw`
-    /// fails, aborts) the reservation.
+    /// fails, aborts) the reservation. The quoted error is the
+    /// data-independent noise bound: with `Some(x)` it would also fold in
+    /// the structural residual ‖(W − BL)x‖², an un-noised statistic of
+    /// the private data.
     fn release(
         &self,
         budget: Budget,
@@ -153,7 +156,8 @@ pub struct BatchAnswer {
     pub delta_spent: f64,
     /// δ left in the session after the debit (`0` for pure sessions).
     pub delta_remaining: f64,
-    /// Closed-form expected average squared error of this release.
+    /// Closed-form expected average squared error of this release's
+    /// noise: data-independent, like everything else a release carries.
     pub expected_avg_error: f64,
     /// Label of the strategy that answered.
     pub mechanism: &'static str,

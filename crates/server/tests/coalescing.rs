@@ -137,15 +137,13 @@ fn single_query_fallthrough_matches_session_answer() {
 
     assert_eq!(release.answers, batch.answers);
     assert_eq!(release.eps_remaining, session.remaining());
-    // The server reports the data-independent noise bound (x = None):
-    // the Session's estimate additionally folds in the structural
-    // residual, a statistic of the private data the server must never
-    // release un-noised.
+    // Both report the data-independent noise bound (x = None), never
+    // the structural residual, a statistic of the private data.
     assert_eq!(
         release.expected_avg_error,
         compiled.expected_average_error(half, None)
     );
-    assert!(release.expected_avg_error <= batch.expected_avg_error);
+    assert_eq!(release.expected_avg_error, batch.expected_avg_error);
 }
 
 #[test]

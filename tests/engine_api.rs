@@ -87,9 +87,41 @@ fn batch_answers_carry_their_accounting() {
     assert!((release.eps_remaining - 1.5).abs() < 1e-12);
     assert_eq!(release.mechanism, "LRM");
     assert!(release.expected_avg_error > 0.0);
-    // The quoted expected error matches the mechanism's closed form.
-    let direct = compiled.expected_average_error(eps(0.5), Some(&data));
+    // The quoted expected error is the mechanism's data-independent
+    // closed form.
+    let direct = compiled.expected_average_error(eps(0.5), None);
     assert_eq!(release.expected_avg_error, direct);
+}
+
+#[test]
+fn released_error_bounds_do_not_depend_on_the_data() {
+    // A rank-1 strategy cannot represent a 6-query range workload
+    // exactly, so ‖(W − BL)x‖² grows with the data. What a release
+    // quotes must not: two databases, one strategy, one bound.
+    let engine = Engine::builder().build();
+    let w = range_workload(6, 12, 1);
+    let opts = CompileOptions::with_decomposition(DecompositionConfig {
+        target_rank: TargetRank::Exact(1),
+        ..DecompositionConfig::default()
+    });
+    let compiled = engine.compile(&w, MechanismKind::Lrm, &opts).unwrap();
+    let small = vec![1.0; 12];
+    let large = vec![1000.0; 12];
+    assert!(
+        compiled.expected_average_error(eps(0.5), Some(&large))
+            > compiled.expected_average_error(eps(0.5), Some(&small)),
+        "the strategy must be inexact for this test to bite"
+    );
+
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut session = compiled.session(eps(2.0));
+    let first = session.answer(&small, eps(0.5), &mut rng).unwrap();
+    let second = session.answer(&large, eps(0.5), &mut rng).unwrap();
+    assert_eq!(first.expected_avg_error, second.expected_avg_error);
+    assert_eq!(
+        first.expected_avg_error,
+        compiled.expected_average_error(eps(0.5), None)
+    );
 }
 
 #[test]
