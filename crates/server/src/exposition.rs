@@ -4,17 +4,16 @@
 //! Both render the full [`MetricsSnapshot`] — every counter and the
 //! **raw latency histogram buckets** (so a
 //! scraper can re-derive any percentile, not just the three the
-//! snapshot pre-computes) — plus the engine cache counters and the
-//! per-tenant budget telemetry ([`TenantTelemetry`]): ε/δ spent and
-//! remaining, the trailing-window burn rate, and the estimated
-//! time-to-exhaustion.
+//! snapshot pre-computes) — plus the engine cache counters and each
+//! tenant's budget row ([`TenantSpend`]): ε/δ spent and remaining, the
+//! trailing-window burn rate, and the estimated time-to-exhaustion.
 //!
 //! Everything exposed here is data-independent (counts, timings,
 //! budget positions); the same rule the trace payloads obey.
 
 use crate::metrics::MetricsSnapshot;
-use crate::server::ServerReport;
-use crate::tenants::TenantTelemetry;
+use crate::server::{ServerReport, BURN_WINDOW};
+use crate::tenants::TenantSpend;
 use lrm_obs::json::{push_f64, push_str};
 use std::fmt::Write as _;
 
@@ -22,7 +21,7 @@ use std::fmt::Write as _;
 /// (`text/plain; version=0.0.4`): `# HELP`/`# TYPE` headers, counters
 /// and gauges under the `lrm_` prefix, the latency histogram as
 /// cumulative `le`-labeled buckets, and one labeled gauge family per
-/// tenant-telemetry column.
+/// tenant budget column.
 pub fn prometheus(report: &ServerReport) -> String {
     let mut out = String::with_capacity(4096);
     let m = &report.metrics;
@@ -42,7 +41,7 @@ pub fn prometheus(report: &ServerReport) -> String {
         fmt_f64(m.mean_occupancy)
     );
     push_prometheus_histogram(&mut out, m);
-    push_prometheus_tenants(&mut out, &report.telemetry);
+    push_prometheus_tenants(&mut out, &report.tenants);
     out
 }
 
@@ -198,19 +197,19 @@ fn push_prometheus_histogram(out: &mut String, m: &MetricsSnapshot) {
     let _ = writeln!(out, "{NAME}_count {}", m.latency_samples());
 }
 
-/// Extracts one gauge column from a tenant's telemetry (`None` = skip).
-type TenantGauge = fn(&TenantTelemetry) -> Option<f64>;
+/// Extracts one gauge column from a tenant's row (`None` = skip).
+type TenantGauge = fn(&TenantSpend) -> Option<f64>;
 
-/// One labeled gauge family per tenant-telemetry column. Exhaustion
+/// One labeled gauge family per tenant budget column. Exhaustion
 /// gauges are only written for tenants that are actually burning (a
 /// missing sample is Prometheus's idiom for "not applicable").
-fn push_prometheus_tenants(out: &mut String, telemetry: &[TenantTelemetry]) {
+fn push_prometheus_tenants(out: &mut String, tenants: &[TenantSpend]) {
     let families: [(&str, &str, TenantGauge); 8] = [
         ("lrm_tenant_eps_spent", "Cumulative eps granted.", |t| {
-            Some(t.eps_spent)
+            Some(t.spent)
         }),
         ("lrm_tenant_eps_remaining", "Eps still grantable.", |t| {
-            Some(t.eps_remaining)
+            Some(t.remaining())
         }),
         ("lrm_tenant_delta_spent", "Cumulative delta granted.", |t| {
             Some(t.delta_spent)
@@ -218,7 +217,7 @@ fn push_prometheus_tenants(out: &mut String, telemetry: &[TenantTelemetry]) {
         (
             "lrm_tenant_delta_remaining",
             "Delta still grantable.",
-            |t| Some(t.delta_remaining),
+            |t| Some(t.delta_remaining()),
         ),
         (
             "lrm_tenant_eps_burn_per_sec",
@@ -242,7 +241,7 @@ fn push_prometheus_tenants(out: &mut String, telemetry: &[TenantTelemetry]) {
         ),
     ];
     for (name, help, value) in families {
-        let rows: Vec<(&TenantTelemetry, f64)> = telemetry
+        let rows: Vec<(&TenantSpend, f64)> = tenants
             .iter()
             .filter_map(|t| value(t).map(|v| (t, v)))
             .collect();
@@ -332,17 +331,17 @@ pub fn json(report: &ServerReport) -> String {
         c.memory_hits, c.disk_hits, c.misses, c.warm_hits, c.store_loads, c.evictions, c.entries,
     );
     out.push_str(",\"tenants\":[");
-    for (i, t) in report.telemetry.iter().enumerate() {
+    for (i, t) in report.tenants.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str("{\"tenant\":");
         push_str(&mut out, &t.tenant);
         for (key, v) in [
-            ("eps_spent", t.eps_spent),
-            ("eps_remaining", t.eps_remaining),
+            ("eps_spent", t.spent),
+            ("eps_remaining", t.remaining()),
             ("delta_spent", t.delta_spent),
-            ("delta_remaining", t.delta_remaining),
+            ("delta_remaining", t.delta_remaining()),
             ("eps_burn_per_sec", t.eps_burn_per_sec),
             ("delta_burn_per_sec", t.delta_burn_per_sec),
         ] {
@@ -350,7 +349,7 @@ pub fn json(report: &ServerReport) -> String {
             push_f64(&mut out, v);
         }
         let _ = write!(out, ",\"burn_window_seconds\":");
-        push_f64(&mut out, t.window.as_secs_f64());
+        push_f64(&mut out, BURN_WINDOW.as_secs_f64());
         for (key, v) in [
             ("eps_exhaustion_seconds", t.eps_exhaustion),
             ("delta_exhaustion_seconds", t.delta_exhaustion),

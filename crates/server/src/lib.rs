@@ -77,7 +77,7 @@ pub mod tickets;
 pub use metrics::MetricsSnapshot;
 pub use server::{Client, Release, Server, ServerBuilder, ServerError, ServerReport, Ticket};
 pub use spec::{PreparedRows, PreparedSpec, QuerySpec, SpecClass, SpecError};
-pub use tenants::{AdmissionError, TenantSpend, TenantTelemetry};
+pub use tenants::{AdmissionError, TenantSpend};
 pub use tickets::{Completion, TicketSet};
 
 // Cross-thread sharing audit: the scheduler, every worker, and every

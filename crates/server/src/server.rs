@@ -89,7 +89,7 @@
 use crate::coalesce::{combine, BatchKey, RankTracker};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::spec::{shape_hash, PreparedSpec, QuerySpec, SpecError};
-use crate::tenants::{AdmissionError, BurnTracker, TenantLedgers, TenantSpend, TenantTelemetry};
+use crate::tenants::{AdmissionError, BurnTracker, TenantLedgers, TenantSpend};
 use crate::tickets::{Responder, TicketSet};
 use lrm_core::engine::{
     CacheStats, CompileOptions, CompiledMechanism, Engine, MechanismKind, NoiseFlavor,
@@ -108,9 +108,9 @@ use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Sliding window over which per-tenant budget burn rates are measured;
-/// the [`ServerReport`]'s [`telemetry`](ServerReport::telemetry) quotes
+/// the [`ServerReport`]'s [`tenants`](ServerReport::tenants) rows quote
 /// each tenant's ε/δ spend per second over it.
-const BURN_WINDOW: Duration = Duration::from_secs(10);
+pub(crate) const BURN_WINDOW: Duration = Duration::from_secs(10);
 
 /// Builder for [`Server`].
 #[derive(Debug)]
@@ -494,9 +494,12 @@ impl Server {
         &self.engine
     }
 
-    /// Point-in-time budget positions of every registered tenant.
+    /// Point-in-time budget positions and burn rates of every
+    /// registered tenant, sorted by id.
     pub fn tenant_spend(&self) -> Vec<TenantSpend> {
-        self.tenants.snapshot()
+        let mut spends = self.tenants.snapshot();
+        self.burn.report(&mut spends);
+        spends
     }
 
     /// Runs the runtime: spawns the coalescing scheduler and the worker
@@ -537,12 +540,10 @@ impl Server {
         metrics
             .ledger_replays
             .store(self.tenants.replays(), Ordering::Relaxed);
-        let tenants = self.tenants.snapshot();
         let report = ServerReport {
             metrics: metrics.snapshot(),
             cache: self.engine.cache_stats(),
-            telemetry: self.burn.report(&tenants),
-            tenants,
+            tenants: self.tenant_spend(),
         };
         (result, report)
     }
@@ -1467,11 +1468,9 @@ pub struct ServerReport {
     pub metrics: MetricsSnapshot,
     /// The shared engine's compiled-strategy cache counters.
     pub cache: CacheStats,
-    /// Per-tenant burn-rate telemetry: ε/δ spend per second over the
-    /// trailing 10 s and the estimated time-to-exhaustion that rate
-    /// implies.
-    pub telemetry: Vec<TenantTelemetry>,
-    /// Per-tenant budget positions at shutdown.
+    /// Per-tenant budget positions at shutdown, with each tenant's ε/δ
+    /// spend per second over the trailing 10 s and the estimated
+    /// time-to-exhaustion that rate implies.
     pub tenants: Vec<TenantSpend>,
 }
 

@@ -39,7 +39,7 @@ pub(crate) struct TenantLedgers {
     replays: AtomicU64,
 }
 
-/// One tenant's budget position, reported in the
+/// One tenant's budget position and burn rate, reported in the
 /// [`ServerReport`](crate::server::ServerReport).
 ///
 /// `spent`, `delta_spent` and `releases` count *settled* releases only.
@@ -49,7 +49,12 @@ pub(crate) struct TenantLedgers {
 /// figures are the tenant's whole spend — except for a release whose
 /// worker died between noise and settlement, whose reservation stays
 /// held (never refunded) until a restart replays it as spent.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The burn rates average the settled spend over the server's trailing
+/// 10 s window, and the exhaustion estimates divide what remains by
+/// them. Like the spend columns, they are pure accounting over grants:
+/// no query data, no noise.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TenantSpend {
     /// Tenant id.
     pub tenant: String,
@@ -63,6 +68,28 @@ pub struct TenantSpend {
     pub delta_spent: f64,
     /// Number of settled releases.
     pub releases: usize,
+    /// ε settled per second over the trailing window.
+    pub eps_burn_per_sec: f64,
+    /// δ settled per second over the trailing window.
+    pub delta_burn_per_sec: f64,
+    /// At the current ε burn rate, when the remaining ε runs out
+    /// (`None` when the tenant is idle in the window).
+    pub eps_exhaustion: Option<Duration>,
+    /// At the current δ burn rate, when the remaining δ runs out
+    /// (`None` when idle or on a pure grant).
+    pub delta_exhaustion: Option<Duration>,
+}
+
+impl TenantSpend {
+    /// ε still grantable: `total − spent`, never negative.
+    pub(crate) fn remaining(&self) -> f64 {
+        (self.total - self.spent).max(0.0)
+    }
+
+    /// δ still grantable: `delta_total − delta_spent`, never negative.
+    pub(crate) fn delta_remaining(&self) -> f64 {
+        (self.delta_total - self.delta_spent).max(0.0)
+    }
 }
 
 impl TenantLedgers {
@@ -194,7 +221,8 @@ impl TenantLedgers {
         self.replays.load(Ordering::Relaxed)
     }
 
-    /// Point-in-time budget positions of every tenant, sorted by id.
+    /// Point-in-time budget positions of every tenant, sorted by id
+    /// (burn rates zero; [`BurnTracker::report`] fills them in).
     pub fn snapshot(&self) -> Vec<TenantSpend> {
         let mut spends: Vec<TenantSpend> = self
             .ledgers
@@ -210,6 +238,7 @@ impl TenantLedgers {
                     delta_total: ledger.delta_total(),
                     delta_spent,
                     releases: ledger.debits(),
+                    ..TenantSpend::default()
                 }
             })
             .collect();
@@ -323,43 +352,27 @@ impl BurnTracker {
         }
     }
 
-    /// Reduces to per-tenant telemetry, one entry per ledger `spends`
-    /// row (tenants with no in-window releases report zero rates).
-    pub(crate) fn report(&self, spends: &[TenantSpend]) -> Vec<TenantTelemetry> {
+    /// Fills the burn-rate and exhaustion fields of every `spends` row
+    /// (tenants with no in-window releases report zero rates).
+    pub(crate) fn report(&self, spends: &mut [TenantSpend]) {
         let now = Instant::now();
         let samples = self.samples.lock().unwrap_or_else(|e| e.into_inner());
         let horizon = self.window.as_secs_f64();
-        spends
-            .iter()
-            .map(|spend| {
-                let (eps_in_window, delta_in_window) = samples
-                    .get(&spend.tenant)
-                    .map(|queue| {
-                        queue
-                            .iter()
-                            .filter(|(t, _, _)| now.duration_since(*t) <= self.window)
-                            .fold((0.0, 0.0), |(e, d), (_, se, sd)| (e + se, d + sd))
-                    })
-                    .unwrap_or((0.0, 0.0));
-                let eps_burn_per_sec = eps_in_window / horizon;
-                let delta_burn_per_sec = delta_in_window / horizon;
-                TenantTelemetry {
-                    tenant: spend.tenant.clone(),
-                    eps_spent: spend.spent,
-                    eps_remaining: (spend.total - spend.spent).max(0.0),
-                    delta_spent: spend.delta_spent,
-                    delta_remaining: (spend.delta_total - spend.delta_spent).max(0.0),
-                    window: self.window,
-                    eps_burn_per_sec,
-                    delta_burn_per_sec,
-                    eps_exhaustion: exhaustion(spend.total - spend.spent, eps_burn_per_sec),
-                    delta_exhaustion: exhaustion(
-                        spend.delta_total - spend.delta_spent,
-                        delta_burn_per_sec,
-                    ),
-                }
-            })
-            .collect()
+        for spend in spends {
+            let (eps_in_window, delta_in_window) = samples
+                .get(&spend.tenant)
+                .map(|queue| {
+                    queue
+                        .iter()
+                        .filter(|(t, _, _)| now.duration_since(*t) <= self.window)
+                        .fold((0.0, 0.0), |(e, d), (_, se, sd)| (e + se, d + sd))
+                })
+                .unwrap_or((0.0, 0.0));
+            spend.eps_burn_per_sec = eps_in_window / horizon;
+            spend.delta_burn_per_sec = delta_in_window / horizon;
+            spend.eps_exhaustion = exhaustion(spend.remaining(), spend.eps_burn_per_sec);
+            spend.delta_exhaustion = exhaustion(spend.delta_remaining(), spend.delta_burn_per_sec);
+        }
     }
 }
 
@@ -372,38 +385,8 @@ fn exhaustion(remaining: f64, rate_per_sec: f64) -> Option<Duration> {
         return None;
     }
     Some(Duration::from_secs_f64(
-        (remaining.max(0.0) / rate_per_sec).min(CAP_SECS),
+        (remaining / rate_per_sec).min(CAP_SECS),
     ))
-}
-
-/// One tenant's privacy-budget telemetry, reported in the
-/// [`ServerReport`](crate::server::ServerReport): the ledger position
-/// plus the trailing-window burn rate and the time-to-exhaustion it
-/// implies at that pace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantTelemetry {
-    /// Tenant id.
-    pub tenant: String,
-    /// Cumulative ε granted.
-    pub eps_spent: f64,
-    /// ε still grantable.
-    pub eps_remaining: f64,
-    /// Cumulative δ granted (`0` for pure grants).
-    pub delta_spent: f64,
-    /// δ still grantable.
-    pub delta_remaining: f64,
-    /// The trailing window the rates below average over.
-    pub window: Duration,
-    /// ε granted per second over the trailing window.
-    pub eps_burn_per_sec: f64,
-    /// δ granted per second over the trailing window.
-    pub delta_burn_per_sec: f64,
-    /// At the current ε burn rate, when the remaining ε runs out
-    /// (`None` when the tenant is idle in the window).
-    pub eps_exhaustion: Option<Duration>,
-    /// At the current δ burn rate, when the remaining δ runs out
-    /// (`None` when idle or on a pure server).
-    pub delta_exhaustion: Option<Duration>,
 }
 
 #[cfg(test)]
@@ -552,7 +535,7 @@ mod tests {
         for _ in 0..4 {
             tracker.record("acme", Budget::approx(eps(0.25), 1e-7).unwrap());
         }
-        let spends = vec![
+        let mut spends = vec![
             TenantSpend {
                 tenant: "acme".into(),
                 total: 2.0,
@@ -560,28 +543,24 @@ mod tests {
                 delta_total: 1e-5,
                 delta_spent: 4e-7,
                 releases: 4,
+                ..TenantSpend::default()
             },
             TenantSpend {
                 tenant: "idle".into(),
                 total: 1.0,
-                spent: 0.0,
-                delta_total: 0.0,
-                delta_spent: 0.0,
-                releases: 0,
+                ..TenantSpend::default()
             },
         ];
-        let telemetry = tracker.report(&spends);
-        assert_eq!(telemetry.len(), 2);
-        let acme = &telemetry[0];
-        assert_eq!(acme.tenant, "acme");
-        assert!((acme.eps_remaining - 1.0).abs() < 1e-12);
+        tracker.report(&mut spends);
+        let acme = &spends[0];
+        assert!((acme.remaining() - 1.0).abs() < 1e-12);
         // 4 × 0.25 ε inside a 10 s window → 0.1 ε/s → exhaustion in
         // about 10 s for the remaining 1.0 ε.
         assert!((acme.eps_burn_per_sec - 0.1).abs() < 1e-9);
         let eta = acme.eps_exhaustion.expect("burning tenant has an ETA");
         assert!((eta.as_secs_f64() - 10.0).abs() < 0.5, "eta {eta:?}");
         assert!(acme.delta_exhaustion.is_some());
-        let idle = &telemetry[1];
+        let idle = &spends[1];
         assert_eq!(idle.eps_burn_per_sec, 0.0);
         assert!(idle.eps_exhaustion.is_none());
         assert!(idle.delta_exhaustion.is_none());
@@ -593,21 +572,20 @@ mod tests {
         tracker.record("acme", pure(0.5));
         std::thread::sleep(Duration::from_millis(40));
         tracker.record("acme", pure(0.25));
-        let spends = vec![TenantSpend {
+        let mut spends = vec![TenantSpend {
             tenant: "acme".into(),
             total: 1.0,
             spent: 0.75,
-            delta_total: 0.0,
-            delta_spent: 0.0,
             releases: 2,
+            ..TenantSpend::default()
         }];
-        let telemetry = tracker.report(&spends);
+        tracker.report(&mut spends);
         // Only the second release is still inside the 20 ms window.
         let expected = 0.25 / 0.020;
         assert!(
-            (telemetry[0].eps_burn_per_sec - expected).abs() / expected < 0.5,
+            (spends[0].eps_burn_per_sec - expected).abs() / expected < 0.5,
             "rate {} vs expected {expected}",
-            telemetry[0].eps_burn_per_sec
+            spends[0].eps_burn_per_sec
         );
     }
 }
