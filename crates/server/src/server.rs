@@ -89,7 +89,7 @@
 use crate::coalesce::{combine, BatchKey, RankTracker};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::spec::{shape_hash, PreparedSpec, QuerySpec, SpecError};
-use crate::tenants::{AdmissionError, BurnTracker, TenantLedgers, TenantSpend};
+use crate::tenants::{AdmissionError, BurnTracker, Intent, TenantLedgers, TenantSpend};
 use crate::tickets::{Responder, TicketSet};
 use lrm_core::engine::{
     CacheStats, CompileOptions, CompiledMechanism, Engine, MechanismKind, NoiseFlavor,
@@ -867,7 +867,7 @@ impl Server {
         // unaccounted noise. In a cross-ε batch this is where the
         // shared base draw stops mattering for accounting: each member
         // pays exactly what it asked for.
-        let intents: Vec<Result<u64, AdmissionError>> = job
+        let intents: Vec<Result<Intent, AdmissionError>> = job
             .submissions
             .iter()
             .map(|sub| self.tenants.begin_budget(&sub.tenant, sub.budget))
@@ -883,10 +883,8 @@ impl Server {
                 Err(e) => {
                     // The noise never leaves the process: refund every
                     // reservation (durably, or keep it — conservative).
-                    for (sub, intent) in job.submissions.iter().zip(&intents) {
-                        if let Ok(id) = intent {
-                            self.tenants.abort(&sub.tenant, *id);
-                        }
+                    for intent in intents.iter().flatten() {
+                        intent.abort();
                     }
                     return self.fail_batch(metrics, job, ServerError::Core(e));
                 }
@@ -912,8 +910,8 @@ impl Server {
             let k = member;
             member += 1;
             match intents.next().expect("one intent per member") {
-                Ok(id) => {
-                    let (eps_remaining, delta_remaining) = self.tenants.settle(&sub.tenant, id);
+                Ok(intent) => {
+                    let (eps_remaining, delta_remaining) = intent.settle();
                     self.burn.record(&sub.tenant, sub.budget);
                     metrics.answered.fetch_add(1, Ordering::Relaxed);
                     if degraded {
@@ -1008,7 +1006,7 @@ impl Server {
         &self,
         compiled: &CompiledMechanism,
         job: &BatchJob,
-        intents: &[Result<u64, AdmissionError>],
+        intents: &[Result<Intent, AdmissionError>],
     ) -> Result<BatchNoise, CoreError> {
         let first = job.submissions[0].budget;
         if first.is_pure() {

@@ -170,41 +170,25 @@ impl TenantLedgers {
     /// noise be drawn for the tenant's slice. In a cross-ε batch every
     /// member begins at its *own* budget — the shared base draw never
     /// changes what a member pays.
-    pub fn begin_budget(&self, tenant: &str, budget: Budget) -> Result<u64, AdmissionError> {
+    ///
+    /// The [`Intent`] holds the ledger it was reserved on, so phase two
+    /// reaches that ledger even if the tenant is re-registered while the
+    /// release is in flight: a fresh ledger numbers its intents from 0,
+    /// and settling by tenant name would debit or refund the wrong grant.
+    pub fn begin_budget(&self, tenant: &str, budget: Budget) -> Result<Intent, AdmissionError> {
         let ledger = self
             .get(tenant)
             .ok_or_else(|| AdmissionError::UnknownTenant {
                 tenant: tenant.to_string(),
             })?;
-        ledger.begin_budget(budget).map_err(|e| match e {
+        let id = ledger.begin_budget(budget).map_err(|e| match e {
             DurableError::Budget(b) => AdmissionError::Budget(b),
             DurableError::Io(io) => AdmissionError::Ledger {
                 tenant: tenant.to_string(),
                 reason: io.to_string(),
             },
-        })
-    }
-
-    /// Phase two, success path: finalizes intent `id` and returns the
-    /// remaining `(ε, δ)` budget. Never refuses (admission happened at
-    /// `begin_budget`).
-    pub fn settle(&self, tenant: &str, id: u64) -> (f64, f64) {
-        match self.get(tenant) {
-            Some(ledger) => {
-                let eps_remaining = ledger.settle(id);
-                (eps_remaining, ledger.delta_remaining())
-            }
-            None => (0.0, 0.0),
-        }
-    }
-
-    /// Phase two, failure path: refunds intent `id` (only if the abort
-    /// is durably recorded — otherwise the reservation is kept, which is
-    /// conservative).
-    pub fn abort(&self, tenant: &str, id: u64) {
-        if let Some(ledger) = self.get(tenant) {
-            ledger.abort(id);
-        }
+        })?;
+        Ok(Intent { ledger, id })
     }
 
     /// Single-phase debit: `begin` + immediate `settle`; returns the
@@ -212,8 +196,7 @@ impl TenantLedgers {
     /// explicitly (intent before noise); this shorthand serves tests.
     #[cfg(test)]
     pub fn debit(&self, tenant: &str, eps: Epsilon) -> Result<f64, AdmissionError> {
-        let id = self.begin_budget(tenant, Budget::pure(eps))?;
-        Ok(self.settle(tenant, id).0)
+        Ok(self.begin_budget(tenant, Budget::pure(eps))?.settle().0)
     }
 
     /// Ledger journals replayed on registration so far.
@@ -244,6 +227,31 @@ impl TenantLedgers {
             .collect();
         spends.sort_by(|a, b| a.tenant.cmp(&b.tenant));
         spends
+    }
+}
+
+/// One granted reservation: the ledger it was reserved on and the
+/// intent's id there (see [`TenantLedgers::begin_budget`]).
+#[derive(Debug)]
+pub(crate) struct Intent {
+    ledger: DurableLedger,
+    id: u64,
+}
+
+impl Intent {
+    /// Phase two, success path: finalizes the intent and returns the
+    /// remaining `(ε, δ)` budget. Never refuses (admission happened at
+    /// `begin_budget`).
+    pub fn settle(&self) -> (f64, f64) {
+        let eps_remaining = self.ledger.settle(self.id);
+        (eps_remaining, self.ledger.delta_remaining())
+    }
+
+    /// Phase two, failure path: refunds the intent (only if the abort is
+    /// durably recorded — otherwise the reservation is kept, which is
+    /// conservative).
+    pub fn abort(&self) {
+        self.ledger.abort(self.id);
     }
 }
 
@@ -454,16 +462,33 @@ mod tests {
     }
 
     #[test]
+    fn re_registration_leaves_in_flight_intents_on_their_own_ledger() {
+        // An old grant's intent and the new grant's first intent share
+        // id 0; phase two must still reach each one's own ledger.
+        let tenants = TenantLedgers::default();
+        tenants.register("a", eps(1.0)).unwrap();
+        let old = tenants.begin_budget("a", pure(0.5)).unwrap();
+        tenants.register("a", eps(1.0)).unwrap();
+        let new = tenants.begin_budget("a", pure(0.9)).unwrap();
+        old.abort();
+        let ledger = tenants.get("a").unwrap();
+        assert!((ledger.remaining() - 0.1).abs() < 1e-12);
+        new.settle();
+        assert!((ledger.settled().0 - 0.9).abs() < 1e-12);
+        assert_eq!(ledger.debits(), 1);
+    }
+
+    #[test]
     fn two_phase_reservation_gates_admission() {
         let tenants = TenantLedgers::default();
         tenants.register("acme", eps(1.0)).unwrap();
-        let id = tenants.begin_budget("acme", pure(0.7)).unwrap();
+        let intent = tenants.begin_budget("acme", pure(0.7)).unwrap();
         // The live reservation counts as spent for concurrent checks.
         assert!(tenants.check_budget("acme", pure(0.5)).is_err());
-        tenants.abort("acme", id);
+        intent.abort();
         assert!(tenants.check_budget("acme", pure(0.5)).is_ok());
-        let id = tenants.begin_budget("acme", pure(0.7)).unwrap();
-        let (remaining, delta_remaining) = tenants.settle("acme", id);
+        let intent = tenants.begin_budget("acme", pure(0.7)).unwrap();
+        let (remaining, delta_remaining) = intent.settle();
         assert!((remaining - 0.3).abs() < 1e-12);
         assert_eq!(delta_remaining, 0.0);
     }
@@ -474,8 +499,8 @@ mod tests {
         let grant = Budget::approx(eps(1.0), 1e-5).unwrap();
         tenants.register_budget("acme", grant).unwrap();
         let release = Budget::approx(eps(0.25), 1e-6).unwrap();
-        let id = tenants.begin_budget("acme", release).unwrap();
-        let (eps_remaining, delta_remaining) = tenants.settle("acme", id);
+        let (eps_remaining, delta_remaining) =
+            tenants.begin_budget("acme", release).unwrap().settle();
         assert!((eps_remaining - 0.75).abs() < 1e-12);
         assert!((delta_remaining - 9e-6).abs() < 1e-18);
 
