@@ -28,45 +28,35 @@
 //! cost per `L` step. A merged workload with more rows than columns is
 //! solved over its `k×k` QR factor (see `compress_rows`), the same program
 //! at `k/m` of the cost of every row-side product.
+//!
+//! The approximate-DP (Gaussian) program — the same objective under
+//! per-column **L2** balls and with `B·L = W` exactly — is convex in
+//! `X = LᵀL`, and its optimum has a closed form in class weights on the
+//! simplex (journal extension, arXiv:1502.07526; Li & Miklau's
+//! eigen-design, arXiv:1202.3807). It is not run through Algorithm 1:
+//! a dual fixed-point iteration (see `solve_l2_dual`) returns a strategy
+//! certified within a duality gap of `10⁻⁴`.
 
 use crate::error::CoreError;
 use lrm_dp::{sensitivity, Budget, Gaussian, SensitivityNorm};
-use lrm_linalg::decomp::{Cholesky, Qr, Svd};
+use lrm_linalg::decomp::{Cholesky, Qr, Svd, SymEigen};
 use lrm_linalg::operator::{ColumnClasses, CsrOp, MatrixOp};
 use lrm_linalg::{ops, Matrix};
 use lrm_opt::{
-    nesterov_projected, project_columns_l1, project_columns_l2, AlmSchedule, AlmState, ColumnRadii,
+    nesterov_projected, project_columns_l1, project_columns_l2, AlmSchedule, AlmState,
     NesterovConfig, WarmStart,
 };
 use lrm_workload::{Workload, WorkloadStructure};
 
-/// Projects every column of `l` onto its ball of the given sensitivity
-/// norm — the feasible set of the pure-ε (L1/Laplace) or approximate-DP
-/// (L2/Gaussian) decomposition respectively.
-fn project_columns(l: &mut Matrix, radii: impl ColumnRadii, norm: SensitivityNorm) {
-    match norm {
-        SensitivityNorm::L1 => {
-            project_columns_l1(l, radii);
-        }
-        SensitivityNorm::L2 => {
-            project_columns_l2(l, radii);
-        }
-    }
-}
+/// The relative duality gap the L2 dual solver stops at.
+const DUAL_GAP_TOL: f64 = 1e-4;
 
-/// The feasible set of `L` in one solve: per-column balls in `norm`, of
-/// radius 1 over the full domain or `√d_c` over merged column classes.
-#[derive(Debug, Clone, Copy)]
-struct Feasible<'a> {
-    norm: SensitivityNorm,
-    radii: &'a [f64],
-}
+/// Smallest class weight of an L2 dual step, relative to their sum.
+const WEIGHT_FLOOR: f64 = 1e-12;
 
-impl Feasible<'_> {
-    fn project(self, l: &mut Matrix) {
-        project_columns(l, self.radii, self.norm);
-    }
-}
+/// Cap on L2 dual steps; the best iterate is returned with its own
+/// certificate when it is reached.
+const DUAL_MAX_STEPS: usize = 1000;
 
 /// `max_j ‖L_:j‖` under the given norm — the sensitivity the feasibility
 /// safety check re-asserts before privacy accounting trusts `Δ ≤ 1`.
@@ -90,6 +80,12 @@ pub enum TargetRank {
 impl TargetRank {
     /// Resolves to a concrete `r` for the given workload.
     pub fn resolve(&self, workload: &Workload) -> Result<usize, CoreError> {
+        self.resolve_with(|| workload.rank())
+    }
+
+    /// Resolves to a concrete `r` against `rank(W)`, asked for only by
+    /// [`TargetRank::RatioOfRank`].
+    fn resolve_with(&self, rank: impl FnOnce() -> usize) -> Result<usize, CoreError> {
         match *self {
             TargetRank::RatioOfRank(ratio) => {
                 if !(ratio > 0.0 && ratio.is_finite()) {
@@ -97,7 +93,7 @@ impl TargetRank {
                         "rank ratio must be positive, got {ratio}"
                     )));
                 }
-                let rank = workload.rank().max(1);
+                let rank = rank().max(1);
                 Ok(((ratio * rank as f64).round() as usize).max(1))
             }
             TargetRank::Exact(r) => {
@@ -113,6 +109,12 @@ impl TargetRank {
 }
 
 /// Configuration of Algorithm 1.
+///
+/// The L2 (Gaussian) program is solved exactly by its dual, not by
+/// Algorithm 1, so `schedule`, `max_outer_iters`, `inner_alternations`,
+/// `inner_tol`, `nesterov` and `polish_iters` apply to L1 compiles only.
+/// An L2 strategy has rank `rank(W)`; a `target_rank` that resolves below
+/// it is refused there.
 #[derive(Debug, Clone)]
 pub struct DecompositionConfig {
     /// Inner dimension `r`; default `1.2 · rank(W)` per Section 6.1
@@ -187,7 +189,8 @@ impl DecompositionConfig {
 /// Solver diagnostics.
 #[derive(Debug, Clone)]
 pub struct DecompositionStats {
-    /// Outer (multiplier) iterations performed.
+    /// Outer (multiplier) iterations performed; for an L2 compile, the
+    /// steps of its dual solve.
     pub outer_iterations: usize,
     /// Final `‖W − BL‖_F`.
     pub residual: f64,
@@ -211,6 +214,13 @@ pub struct DecompositionStats {
     /// Nesterov (Algorithm 2) iterations summed over every L-step of the
     /// solve — the bulk of a compile's work.
     pub nesterov_iterations: usize,
+    /// For an L2 compile, the dual lower bound `t² ≤ Φ·Δ₂²` on every
+    /// strategy for `W` (`None` for Algorithm 1 solves).
+    pub dual_bound: Option<f64>,
+    /// For an L2 compile, the certified relative gap: the strategy's
+    /// `Φ·Δ₂²` is at most `(1 + gap)·dual_bound` (`None` for Algorithm 1
+    /// solves).
+    pub duality_gap: Option<f64>,
 }
 
 /// The decomposition `W ≈ B·L` produced by Algorithm 1.
@@ -245,12 +255,13 @@ impl WorkloadDecomposition {
         Self::compute_with_init_flavored(workload, config, SensitivityNorm::L1, None)
     }
 
-    /// Runs Algorithm 1 with the feasible set chosen by `norm`: per-column
-    /// **L1** balls for the paper's pure-ε (Laplace) mechanism, per-column
-    /// **L2** balls for the approximate-DP (Gaussian) variant. The L2 ball
-    /// contains the L1 ball, so the Gaussian program optimizes over a
-    /// strictly larger feasible set — everything else (the ALM outer loop,
-    /// the convergence contract, the polish phase) is shared code.
+    /// Decomposes `W` under the feasible set chosen by `norm`: Algorithm 1
+    /// over per-column **L1** balls for the paper's pure-ε (Laplace)
+    /// mechanism, and the dual solver over per-column **L2** balls for the
+    /// approximate-DP (Gaussian) variant. The L2 ball contains the L1
+    /// ball, so the Gaussian program optimizes over a strictly larger
+    /// feasible set; its strategy fits `W` exactly and carries a duality
+    /// certificate ([`DecompositionStats::duality_gap`]).
     pub fn compute_flavored(
         workload: &Workload,
         config: &DecompositionConfig,
@@ -261,8 +272,8 @@ impl WorkloadDecomposition {
 
     /// [`Self::compute_flavored`] from a warm-start seed instead of the
     /// Lemma 3 construction: the seed `L` is re-projected onto the target
-    /// rank and the norm's feasible set ([`WarmStart::reproject_l`] /
-    /// [`WarmStart::reproject_l_l2`]) and `B` is refit in closed form —
+    /// rank and the L1 balls ([`WarmStart::reproject_l`]) and `B` is refit
+    /// in closed form —
     /// the β→∞ limit of Eq. 9, which is the best `B` for the seeded `L`
     /// and works across different query counts `m`. Everything after the
     /// initializer — the outer loop, the convergence criteria, the polish
@@ -274,7 +285,8 @@ impl WorkloadDecomposition {
     ///
     /// A seed over the wrong domain size (or a failing closed-form
     /// refit) is ignored and the run falls back to the cold initializer;
-    /// `stats().warm_started` reports what actually happened.
+    /// `stats().warm_started` reports what actually happened. An L2
+    /// compile has no iterate to seed and ignores `init`.
     pub fn compute_with_init_flavored(
         workload: &Workload,
         config: &DecompositionConfig,
@@ -284,18 +296,17 @@ impl WorkloadDecomposition {
         config.validate()?;
         let op = workload.op().as_ref();
         let n = op.cols();
-        let seed = init.filter(|seed| seed.domain_size() == n && seed.rank() > 0);
-        let reproject = |seed: &WarmStart, r: usize| match norm {
-            SensitivityNorm::L1 => seed.reproject_l(r),
-            SensitivityNorm::L2 => seed.reproject_l_l2(r),
-        };
         let classes = op.column_classes();
+        if norm == SensitivityNorm::L2 {
+            let solved = solve_l2_dual(op, &classes, config)?;
+            return Ok(Self::assert_feasible(op, solved, norm));
+        }
+        let seed = init.filter(|seed| seed.domain_size() == n && seed.rank() > 0);
         if classes.is_trivial() {
             let r = config.target_rank.resolve(workload)?;
-            let seed_l = seed.map(|seed| reproject(seed, r));
+            let seed_l = seed.map(|seed| seed.reproject_l(r));
             let unit = vec![1.0; n];
-            let feasible = Feasible { norm, radii: &unit };
-            let solved = Self::solve(workload, r, config, feasible, seed_l, n)?;
+            let solved = Self::solve(workload, r, config, &unit, seed_l, n)?;
             return Ok(Self::assert_feasible(op, solved, norm));
         }
 
@@ -306,18 +317,14 @@ impl WorkloadDecomposition {
         let (merged, q) = compress_rows(merged_workload(workload, &classes));
         let r = config.target_rank.resolve(&merged)?;
         let radii: Vec<f64> = classes.sizes().iter().map(|&d| (d as f64).sqrt()).collect();
-        let feasible = Feasible {
-            norm,
-            radii: &radii,
-        };
         // The seed is made feasible on the full domain first; averaging
         // its columns within each class keeps it inside the (convex)
         // ball, which the `√d_c` weighting turns into radius `√d_c`.
         let seed_l = seed.map(|seed| {
-            let l = merge_columns(&reproject(seed, r), &classes, &radii);
-            condition_seed(&merged, r, feasible, l)
+            let l = merge_columns(&seed.reproject_l(r), &classes, &radii);
+            condition_seed(&merged, r, &radii, l)
         });
-        let mut solved = Self::solve(&merged, r, config, feasible, seed_l, n)?;
+        let mut solved = Self::solve(&merged, r, config, &radii, seed_l, n)?;
         if let Some(q) = q {
             solved.b = ops::matmul(&q, &solved.b)?;
         }
@@ -328,16 +335,16 @@ impl WorkloadDecomposition {
         Ok(Self::assert_feasible(op, solved, norm))
     }
 
-    /// Algorithm 1 on `workload` at inner dimension `r`, over the feasible
-    /// set `feasible`, from the (already feasible) seed `L` if given, else
-    /// from the Lemma 3 construction. `domain_size` is the `n` of the
+    /// Algorithm 1 on `workload` at inner dimension `r`, over per-column
+    /// L1 balls of the given `radii`, from the (already feasible) seed `L`
+    /// if given, else from the Lemma 3 construction. `domain_size` is the `n` of the
     /// workload being decomposed, which `workload` has fewer columns than
     /// when it is the merged one.
     fn solve(
         workload: &Workload,
         r: usize,
         config: &DecompositionConfig,
-        feasible: Feasible<'_>,
+        radii: &[f64],
         seed_l: Option<Matrix>,
         domain_size: usize,
     ) -> Result<Solved, CoreError> {
@@ -367,7 +374,7 @@ impl WorkloadDecomposition {
         let warm_started = warm_init.is_some();
         let (mut b, mut l) = match warm_init {
             Some(pair) => pair,
-            None => lemma3_initializer(workload, r, feasible.radii),
+            None => lemma3_initializer(workload, r, radii),
         };
         debug_assert_eq!(b.shape(), (m, r));
         debug_assert_eq!(l.shape(), (r, n));
@@ -406,6 +413,8 @@ impl WorkloadDecomposition {
             warm_started,
             solved_cols: n,
             nesterov_iterations: 0,
+            dual_bound: None,
+            duality_gap: None,
         };
         if stats.converged && initial_scale == 0.0 {
             // Zero workload: (B, L) = (0, 0) is already optimal.
@@ -518,7 +527,7 @@ impl WorkloadDecomposition {
                     &b_new,
                     &l,
                     beta,
-                    feasible,
+                    radii,
                     &nesterov_cfg,
                     lipschitz_warm_start,
                 );
@@ -636,7 +645,7 @@ impl WorkloadDecomposition {
             // directions so the lost rank is spent where it reduces the
             // constraint violation most.
             if tau > gamma_eff {
-                revive_dead_directions(&mut b, &mut l, &residual, feasible);
+                revive_dead_directions(&mut b, &mut l, &residual, radii);
             }
         }
         let had_feasible = best.is_some();
@@ -674,7 +683,7 @@ impl WorkloadDecomposition {
             // structural term. A final iterate within 2% of ‖W‖_F is kept
             // even if it missed the literal γ — the paper's Algorithm 1
             // likewise returns the last ALM iterate on exhaustion.
-            let (init_b, init_l) = lemma3_initializer(workload, r, feasible.radii);
+            let (init_b, init_l) = lemma3_initializer(workload, r, radii);
             let init_residual = residual_of(op, &init_b, &init_l);
             let init_tau = init_residual.frobenius_norm();
             if init_tau < stats.residual && init_tau <= 1e-6 * (1.0 + w_fro) {
@@ -708,7 +717,10 @@ impl WorkloadDecomposition {
         } = solved;
         let over = max_col_norm(&l, norm);
         if over > 1.0 + 1e-9 {
-            project_columns(&mut l, 1.0, norm);
+            match norm {
+                SensitivityNorm::L1 => project_columns_l1(&mut l, 1.0),
+                SensitivityNorm::L2 => project_columns_l2(&mut l, 1.0),
+            };
             residual = residual_of(op, &b, &l);
             stats.residual = residual.frobenius_norm();
         }
@@ -741,6 +753,8 @@ impl WorkloadDecomposition {
             warm_started: false,
             solved_cols: l.cols(),
             nesterov_iterations: 0,
+            dual_bound: None,
+            duality_gap: None,
         };
         Self {
             b,
@@ -850,6 +864,169 @@ struct Solved {
     stats: DecompositionStats,
 }
 
+/// The L2 (Gaussian) program `min ‖B‖²_F s.t. B·L = W, ‖L_:j‖₂ ≤ 1`,
+/// solved from its dual over the `k` distinct columns of `W`.
+///
+/// Identical columns share their column of `L`, so the program is the one
+/// over the `m×k` matrix `W_d` of class representatives at unit radii,
+/// with `G = W_dᵀW_d`. Classes with `G_cc = 0` (zero columns of `W`) are
+/// dropped; their columns of `L` are zero. For weights `w` on the simplex
+/// and `D = diag(w)`, `M = D^½·G·D^½` gives:
+///
+/// * the dual bound `t² = (tr M^½)²` on `Φ·Δ₂²` of every strategy, which is
+///   `‖W·diag(√w)‖²_*` over the full domain;
+/// * the strategy `X = D^-½·M^½·D^-½ / s` for `X = LᵀL`, scaled by
+///   `s = max_c X_cc` (before scaling) to `diag(X) ≤ 1`, whose `Φ` is
+///   `s·t ≥ t²`.
+///
+/// Starting from uniform `w`, each step sets `w ← w·(X_cc/t)²`,
+/// normalized; its fixed points are the optimum (`X_cc = t` wherever
+/// `w_c > 0`, so `s = t`). The plain step `w ← diag(M^½)/t` has the same
+/// fixed points, and squaring the ratio halves the steps it takes. The
+/// solve stops once the best strategy is within [`DUAL_GAP_TOL`] of the
+/// best bound. Every iterate is feasible and certified by its own bound,
+/// so the step cap returns the best one. The strategy is `L_d = Λ^¼·Vᵀ·D^-½ / √s` over the
+/// eigenpairs `(Λ, V)` of `M` above `10⁻¹²·λ_max`: `L_dᵀL_d = X`, and its
+/// row space is that of `W`, so `B = W·L⁺` fits `W` exactly.
+fn solve_l2_dual(
+    op: &dyn MatrixOp,
+    classes: &ColumnClasses,
+    config: &DecompositionConfig,
+) -> Result<Solved, CoreError> {
+    let (m, n) = op.shape();
+    let mut first = vec![usize::MAX; classes.count()];
+    for (j, &c) in classes.class_of().iter().enumerate().rev() {
+        first[c] = j;
+    }
+    let mut w_d = Matrix::zeros(m, first.len());
+    let mut buf = vec![0.0; n];
+    for i in 0..m {
+        op.fill_row(i, &mut buf);
+        for (o, &j) in w_d.row_mut(i).iter_mut().zip(&first) {
+            *o = buf[j];
+        }
+    }
+    let full_gram = ops::gram(&w_d);
+    let live: Vec<usize> = (0..first.len())
+        .filter(|&c| full_gram.get(c, c) > 0.0)
+        .collect();
+    let k = live.len();
+    let gram = Matrix::from_fn(k, k, |a, b| full_gram.get(live[a], live[b]));
+
+    let mut weights = vec![1.0 / k as f64; k];
+    let mut best: Option<(f64, f64, Vec<f64>, SymEigen)> = None; // (s·t, s, w, eig(M))
+    let mut bound = 0.0_f64;
+    let mut steps = 0;
+    let mut first_primal = 0.0;
+    while k > 0 && steps < DUAL_MAX_STEPS {
+        // Cooperative compile deadline (see `lrm_opt::deadline`), polled
+        // once per step like the ALM's outer loop.
+        lrm_testing::failpoint!("core::alm::stall");
+        if lrm_opt::deadline::expired() {
+            return Err(CoreError::DeadlineExceeded);
+        }
+        steps += 1;
+        let root_w: Vec<f64> = weights.iter().map(|w| w.sqrt()).collect();
+        let m_w = Matrix::from_fn(k, k, |a, b| root_w[a] * gram.get(a, b) * root_w[b]);
+        let eig = SymEigen::compute(&m_w)?;
+        let root_diag = eig.spectral_map(|v| v.max(0.0).sqrt()).diag();
+        let t: f64 = root_diag.iter().sum();
+        let s = root_diag
+            .iter()
+            .zip(&weights)
+            .map(|(d, w)| d / w)
+            .fold(0.0, f64::max);
+        let primal = s * t;
+        if steps == 1 {
+            first_primal = primal;
+        }
+        bound = bound.max(t * t);
+        if best.as_ref().is_none_or(|(p, ..)| primal < *p) {
+            best = Some((primal, s, weights.clone(), eig));
+        }
+        let best_primal = best.as_ref().map_or(primal, |(p, ..)| *p);
+        if best_primal <= (1.0 + DUAL_GAP_TOL) * bound {
+            break;
+        }
+        // w ← w·(X_cc/t)², normalized, and kept off zero so that D^-½
+        // stays finite.
+        let next: Vec<f64> = root_diag
+            .iter()
+            .zip(&weights)
+            .map(|(d, w)| d * d / w)
+            .collect();
+        let floor = WEIGHT_FLOOR * next.iter().sum::<f64>();
+        let next: Vec<f64> = next.iter().map(|v| v.max(floor)).collect();
+        let z: f64 = next.iter().sum();
+        weights = next.iter().map(|v| v / z).collect();
+    }
+
+    // Column c of L_d = Λ^¼·Vᵀ·D^-½ / √s over the kept eigenpairs.
+    let (columns, gap) = match &best {
+        Some((primal, s, weights, eig)) => {
+            let floor = 1e-12 * eig.values.last().copied().unwrap_or(0.0);
+            let kept: Vec<usize> = (0..k).rev().filter(|&i| eig.values[i] > floor).collect();
+            let columns: Vec<Vec<f64>> = (0..k)
+                .map(|c| {
+                    let scale = (weights[c] * s).sqrt();
+                    kept.iter()
+                        .map(|&i| eig.values[i].powf(0.25) * eig.vectors.get(c, i) / scale)
+                        .collect()
+                })
+                .collect();
+            (columns, (primal / bound - 1.0).max(0.0))
+        }
+        None => (Vec::new(), 0.0),
+    };
+    let rank = columns.first().map_or(0, Vec::len);
+    let target = config.target_rank.resolve_with(|| rank)?;
+    if target < rank {
+        return Err(CoreError::InvalidArgument(format!(
+            "the L2 program is solved exactly: target rank {target} is below rank(W) = {rank}"
+        )));
+    }
+    // Expanded to all n columns; dead classes keep zero columns.
+    let mut slot = vec![None; first.len()];
+    for (p, &c) in live.iter().enumerate() {
+        slot[c] = Some(p);
+    }
+    let r = rank.max(1);
+    let mut l = Matrix::zeros(r, n);
+    for (j, &c) in classes.class_of().iter().enumerate() {
+        if let Some(p) = slot[c] {
+            for (i, &v) in columns[p].iter().enumerate() {
+                l.set(i, j, v);
+            }
+        }
+    }
+    let b = if rank == 0 {
+        Matrix::zeros(m, r)
+    } else {
+        refit_b(op, &l)?
+    };
+    let residual = residual_of(op, &b, &l);
+    let tau = residual.frobenius_norm();
+    let stats = DecompositionStats {
+        outer_iterations: steps,
+        residual: tau,
+        final_beta: 0.0,
+        converged: stats_converged(tau, config.gamma),
+        initial_scale: first_primal,
+        fell_back_to_initializer: false,
+        warm_started: false,
+        solved_cols: classes.count(),
+        nesterov_iterations: 0,
+        dual_bound: Some(bound),
+        duality_gap: Some(gap),
+    };
+    Ok(Solved {
+        b,
+        l,
+        residual,
+        stats,
+    })
+}
+
 fn stats_converged(residual: f64, gamma: f64) -> bool {
     // "τ is sufficiently small": we treat γ as that threshold; for γ = 0 a
     // tiny numerical floor stands in.
@@ -938,9 +1115,7 @@ fn update_b(rhs: &Matrix, l: &Matrix, beta: f64) -> Result<Matrix, CoreError> {
 /// Algorithm 2 on Formula 10:
 /// `G(L) = β/2·tr(LᵀBᵀBL) − tr((βW+π)ᵀBL)`,
 /// `∂G/∂L = β·BᵀB·L − Bᵀ(βW + π)`,
-/// subject to per-column balls in the decomposition's sensitivity norm
-/// (L1 per Formula 11; L2 for the Gaussian variant — a radial rescale, so
-/// Algorithm 2 is otherwise unchanged) of the radii `feasible` sets. The
+/// subject to per-column L1 balls (Formula 11) of the given `radii`. The
 /// caller supplies `bt_target = Bᵀ(βW + π)` (structured `Bᵀ·W` product
 /// plus skippable `Bᵀ·π` GEMM). Returns the new `L`, the discovered Lipschitz
 /// estimate (used to warm-start the next call) and the iterations run.
@@ -949,7 +1124,7 @@ fn update_l(
     b: &Matrix,
     l0: &Matrix,
     beta: f64,
-    feasible: Feasible<'_>,
+    radii: &[f64],
     nesterov: &NesterovConfig,
     lipschitz_warm_start: f64,
 ) -> (Matrix, f64, usize) {
@@ -968,7 +1143,9 @@ fn update_l(
         g -= bt_target;
         (f, g)
     };
-    let project = move |l: &mut Matrix| feasible.project(l);
+    let project = move |l: &mut Matrix| {
+        project_columns_l1(l, radii);
+    };
 
     let cfg = NesterovConfig {
         initial_lipschitz: lipschitz_warm_start,
@@ -986,7 +1163,7 @@ fn revive_dead_directions(
     b: &mut Matrix,
     l: &mut Matrix,
     residual: &Matrix,
-    feasible: Feasible<'_>,
+    radii: &[f64],
 ) -> usize {
     let r = l.rows();
     let l_scale = l.max_abs().max(1e-12);
@@ -1015,7 +1192,7 @@ fn revive_dead_directions(
             deflated.push(direction);
         }
     }
-    feasible.project(l);
+    project_columns_l1(l, radii);
     dead.len()
 }
 
@@ -1166,7 +1343,7 @@ fn merged_workload(workload: &Workload, classes: &ColumnClasses) -> Workload {
 /// time, until the refit fits the Lemma 3 scale; the zeroed rows are dead
 /// directions the outer loop revives from the residual. A seed that fits
 /// already, or in no such form, is returned as is (and the guard decides).
-fn condition_seed(workload: &Workload, r: usize, feasible: Feasible<'_>, l: Matrix) -> Matrix {
+fn condition_seed(workload: &Workload, r: usize, radii: &[f64], l: Matrix) -> Matrix {
     let op = workload.op().as_ref();
     let scale = lemma3_scale(workload, r);
     let fits =
@@ -1186,7 +1363,7 @@ fn condition_seed(workload: &Workload, r: usize, feasible: Feasible<'_>, l: Matr
                 let row: Vec<f64> = svd.vt.row(i).iter().map(|v| v * sigma).collect();
                 kept.set_row(i, &row);
             }
-            feasible.project(&mut kept);
+            project_columns_l1(&mut kept, radii);
             kept
         })
         .find(fits)
@@ -1558,13 +1735,9 @@ mod tests {
 
         let cfg = DecompositionConfig::default();
         let radii: Vec<f64> = classes.sizes().iter().map(|&d| (d as f64).sqrt()).collect();
-        let feasible = Feasible {
-            norm: SensitivityNorm::L1,
-            radii: &radii,
-        };
         let r = cfg.target_rank.resolve(&merged).unwrap();
-        let full = WorkloadDecomposition::solve(&merged, r, &cfg, feasible, None, 64).unwrap();
-        let small = WorkloadDecomposition::solve(&compressed, r, &cfg, feasible, None, 64).unwrap();
+        let full = WorkloadDecomposition::solve(&merged, r, &cfg, &radii, None, 64).unwrap();
+        let small = WorkloadDecomposition::solve(&compressed, r, &cfg, &radii, None, 64).unwrap();
         let phi = full.b.squared_sum();
         assert!((small.b.squared_sum() - phi).abs() <= 1e-9 * phi);
         let b = ops::matmul(&q, &small.b).unwrap();
@@ -1709,29 +1882,5 @@ mod tests {
             .sigma();
         let err = d.expected_noise_error_budget(budget);
         assert!((err - sigma * sigma * d.scale()).abs() <= 1e-9 * err);
-    }
-
-    #[test]
-    fn l1_seed_warm_starts_an_l2_compile() {
-        // An L1-optimized seed is re-projected onto the L2 ball; the
-        // result is a fresh, L2-feasible, converged decomposition.
-        let cfg = DecompositionConfig {
-            polish_iters: 0,
-            ..DecompositionConfig::default()
-        };
-        let w = panel(64, 15);
-        let l1 = WorkloadDecomposition::compute(&w, &cfg).unwrap();
-        let seed = WarmStart::new(l1.b().clone(), l1.l().clone());
-        let l2 = WorkloadDecomposition::compute_with_init_flavored(
-            &w,
-            &cfg,
-            SensitivityNorm::L2,
-            Some(&seed),
-        )
-        .unwrap();
-        assert!(l2.stats().warm_started);
-        assert_eq!(l2.norm(), SensitivityNorm::L2);
-        assert!(l2.sensitivity() <= 1.0 + 1e-9);
-        assert!(l2.stats().converged);
     }
 }

@@ -79,6 +79,9 @@ pub(crate) struct CachedStrategy {
     /// Nesterov iterations of that compile (`None` exactly when
     /// `alm_iterations` is).
     pub nesterov_iterations: Option<usize>,
+    /// Certified duality gap of a dual-solved (L2) compile (`None` for
+    /// every other compile and for disk reloads).
+    pub duality_gap: Option<f64>,
     /// Closed-form expected average error at the engine's reference ε,
     /// computed once at insert so cache hits pay no error evaluation.
     pub expected_avg_error: f64,
@@ -87,7 +90,8 @@ pub(crate) struct CachedStrategy {
 /// Where a compile was served from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// Full strategy search ran from the cold (Lemma 3) initializer.
+    /// Full strategy search ran from the cold (Lemma 3) initializer, or
+    /// (for approximate-DP compiles, which take no seed) from the dual.
     Miss,
     /// Full strategy search ran, seeded by a similar cached decomposition
     /// — same convergence contract, fewer iterations.

@@ -242,11 +242,20 @@ impl Engine {
         let profile = kind
             .is_decomposition_backed()
             .then(|| coarse_column_profile(workload.op().as_ref(), PROFILE_BUCKETS));
+        // Only Algorithm 1 iterates from a seed: approximate-DP compiles
+        // are solved from the dual, so they neither take nor leave one.
+        let seeds = flavor == NoiseFlavor::PureDp;
         if let Some(profile) = &profile {
             if let Some(decomposition) = self.cache.try_disk_load(&key, workload, flavor) {
                 let decomposition = Arc::new(decomposition);
-                self.cache
-                    .admit_seed(&key, workload, profile.clone(), Arc::clone(&decomposition));
+                if seeds {
+                    self.cache.admit_seed(
+                        &key,
+                        workload,
+                        profile.clone(),
+                        Arc::clone(&decomposition),
+                    );
+                }
                 let mechanism =
                     registry::rebuild_from_decomposition(kind, (*decomposition).clone(), workload);
                 let rank = Some(decomposition.rank());
@@ -260,7 +269,7 @@ impl Engine {
         // and a close column profile — seeds the solver. The seeded
         // compile runs the full convergence contract; the seed is never
         // served directly.
-        let seed = profile.as_ref().and_then(|profile| {
+        let seed = profile.as_ref().filter(|_| seeds).and_then(|profile| {
             let target_rank = match options.decomposition_for(kind).target_rank {
                 crate::decomposition::TargetRank::Exact(r) => Some(r),
                 crate::decomposition::TargetRank::RatioOfRank(_) => None,
@@ -282,8 +291,10 @@ impl Engine {
         if let (Some(decomposition), Some(profile)) = (&built.decomposition, profile) {
             self.cache
                 .persist(&key, workload, &profile, decomposition, flavor);
-            self.cache
-                .admit_seed(&key, workload, profile, Arc::clone(decomposition));
+            if seeds {
+                self.cache
+                    .admit_seed(&key, workload, profile, Arc::clone(decomposition));
+            }
         }
         let rank = built.decomposition.as_ref().map(|d| d.rank());
         let solve = built.decomposition.as_ref().map(|d| d.stats());
@@ -304,14 +315,16 @@ impl Engine {
         solve: Option<&DecompositionStats>,
         mechanism: Arc<dyn Mechanism + Send + Sync>,
     ) -> CachedStrategy {
+        let alm = solve.filter(|s| s.duality_gap.is_none());
         let cached = CachedStrategy {
             expected_avg_error: mechanism
                 .expected_average_error_budget(self.reference_budget(flavor), None),
             workload_op: Arc::clone(workload.op()),
             strategy_rank,
-            alm_iterations: solve.map(|s| s.outer_iterations),
-            solved_cols: solve.map(|s| s.solved_cols),
-            nesterov_iterations: solve.map(|s| s.nesterov_iterations),
+            alm_iterations: alm.map(|s| s.outer_iterations),
+            solved_cols: alm.map(|s| s.solved_cols),
+            nesterov_iterations: alm.map(|s| s.nesterov_iterations),
+            duality_gap: solve.and_then(|s| s.duality_gap),
             mechanism,
         };
         self.cache.insert(key, cached.clone());
@@ -404,6 +417,7 @@ impl Engine {
                 alm_iterations: cached.alm_iterations,
                 solved_cols: cached.solved_cols,
                 nesterov_iterations: cached.nesterov_iterations,
+                duality_gap: cached.duality_gap,
                 warm_start,
                 expected_avg_error: cached.expected_avg_error,
                 reference_eps: self.reference_eps,
@@ -492,7 +506,8 @@ pub struct CompileMeta {
     /// Decomposition rank `r` for decomposition-backed kinds.
     pub strategy_rank: Option<usize>,
     /// Outer ALM iterations the compile ran (`None` for non-iterative
-    /// kinds and for strategies reloaded from the store).
+    /// kinds, for approximate-DP compiles, which do not run the ALM, and
+    /// for strategies reloaded from the store).
     pub alm_iterations: Option<usize>,
     /// Columns the ALM solved over — the distinct columns of the workload
     /// (`None` whenever [`CompileMeta::alm_iterations`] is).
@@ -501,6 +516,11 @@ pub struct CompileMeta {
     /// every L-step (`None` whenever [`CompileMeta::alm_iterations`] is).
     /// Like the outer count it depends on the workload alone.
     pub nesterov_iterations: Option<usize>,
+    /// The certified relative duality gap of an approximate-DP LRM
+    /// compile: its `Φ·Δ₂²` is within `(1 + gap)` of the optimum of the
+    /// L2 program. `Some` exactly for dual-solved compiles (and memory
+    /// hits on them); it depends on the workload alone.
+    pub duality_gap: Option<f64>,
     /// Present iff the compile was seeded by a similar cached strategy.
     pub warm_start: Option<WarmStartProvenance>,
     /// Closed-form expected **average** squared error at

@@ -23,8 +23,8 @@ use std::sync::Arc;
 /// Gaussian), and the privacy guarantee a session debits (pure ε vs
 /// (ε, δ)). It is part of the strategy-cache key and the on-disk store
 /// header: an L1-optimized strategy is **never** served for an L2 request
-/// or vice versa — the calibrations do not transfer, only the warm-start
-/// seeds do.
+/// or vice versa — the calibrations do not transfer. Only pure compiles
+/// take warm-start seeds: the L2 program is solved from its dual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NoiseFlavor {
     /// Pure ε-DP: Laplace noise against L1 sensitivity.
@@ -167,8 +167,9 @@ impl MechanismKind {
 
     /// Whether this kind has an approximate-DP (Gaussian) calibration.
     ///
-    /// The decomposition-backed LRM kinds re-run Algorithm 1 under the L2
-    /// constraint; the noise-on-data kinds swap Laplace count noise for
+    /// The decomposition-backed LRM kinds solve the L2 program from its
+    /// dual (exactly, so `LRM-γG` is the same strategy as `LRM-G`); the
+    /// noise-on-data kinds swap Laplace count noise for
     /// calibrated Gaussian count noise. The remaining baselines publish
     /// `T·η` for strategy matrices whose published error analysis is
     /// Laplace-specific, so they stay pure-only.
@@ -344,9 +345,9 @@ pub(crate) fn check_flavor_supported(
     Ok(())
 }
 
-/// Compiles `kind` (no cache involvement). A decomposition-backed kind
-/// starts Algorithm 1 from `seed` when one is given, instead of the
-/// Lemma 3 cold initializer; the convergence contract is the same either
+/// Compiles `kind` (no cache involvement). A pure decomposition-backed
+/// kind starts Algorithm 1 from `seed` when one is given, instead of the
+/// Lemma 3 cold initializer (an approximate-DP one ignores it); the convergence contract is the same either
 /// way — only the starting point differs — so the result is a
 /// full-fledged strategy, never a shortcut. Other kinds ignore `seed`.
 pub(crate) fn build(

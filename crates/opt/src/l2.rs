@@ -3,9 +3,11 @@
 //! The approximate-DP variant of the decomposition constrains every
 //! column of `L` by its **Euclidean** norm (`∀j ‖L_:j‖₂ ≤ 1`), because
 //! the Gaussian mechanism's noise is calibrated against L2 sensitivity
-//! (journal extension of the paper, arXiv:1502.07526). Unlike the L1
-//! case there is no sorting involved: the projection onto an L2 ball is
-//! a pure radial rescale, `O(r)` per column.
+//! (journal extension of the paper, arXiv:1502.07526). Its strategy is
+//! built feasible in closed form; this projection only re-asserts the
+//! constraint before noise is calibrated against it. Unlike the L1 case
+//! there is no sorting involved: the projection onto an L2 ball is a pure
+//! radial rescale, `O(r)` per column.
 
 use crate::l1::ColumnRadii;
 use lrm_linalg::Matrix;

@@ -3,14 +3,17 @@
 
 //! Optimization routines for the Low-Rank Mechanism reproduction.
 //!
-//! Every routine here exists because the paper calls for it:
+//! Every routine here exists because the paper calls for it. The ALM
+//! pieces ([`l1`], [`nesterov`], [`alm`], [`warm`]) serve the pure-ε (L1)
+//! decomposition only: `lrm_core` solves the approximate-DP (L2) program
+//! in closed form from its dual.
 //!
 //! * [`l1`] — Euclidean projection onto the L1 ball (Duchi et al., paper
 //!   ref \[10\]); Formula (11) of the paper decouples into one such
 //!   projection per column of `L`.
 //! * [`l2`] — Euclidean projection onto the L2 ball (a radial rescale),
-//!   the constraint set of the approximate-DP (Gaussian) decomposition
-//!   where column L2 norms bound the sensitivity.
+//!   with which `lrm_core` re-asserts `Δ₂ ≤ 1` on an approximate-DP
+//!   strategy before its noise is calibrated.
 //! * [`nesterov`] — Nesterov's accelerated projected-gradient method with
 //!   backtracking Lipschitz search, i.e. the paper's **Algorithm 2**.
 //! * [`alm`] — penalty/multiplier scheduling for the inexact Augmented

@@ -7,6 +7,8 @@
 //! is the classic `δ(t) = (1 + √(1+4δ(t−1)²))/2`, and the stopping rule is
 //! the paper's `‖S − L(t)‖_F < χ` with `χ = numel · 10⁻¹²` (line 2).
 //!
+//! It runs the L-step of the pure-ε (L1) decomposition only; the
+//! approximate-DP (L2) program is solved from its dual in `lrm_core`.
 //! Inside Algorithm 1's L-step, `χ` rarely ends a solve: the iteration
 //! cap does. Algorithm 1 only asks for an approximate subproblem solve,
 //! and on serving-sized batches caps from 5 to 40 give the same median

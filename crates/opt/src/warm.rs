@@ -62,27 +62,6 @@ impl WarmStart {
     /// feasible `target_rank × n` starting `L` for the pure ε-DP
     /// (Laplace, L1-sensitivity) decomposition.
     pub fn reproject_l(&self, target_rank: usize) -> Matrix {
-        let mut l = self.reshape_rows(target_rank);
-        project_columns_l1(&mut l, 1.0);
-        l
-    }
-
-    /// The approximate-DP twin of [`WarmStart::reproject_l`]: same
-    /// truncation/padding policy, but columns are projected onto the
-    /// unit **L2** ball, producing a feasible start for the Gaussian
-    /// (L2-sensitivity) decomposition. This is what lets an L1-optimized
-    /// neighbor *seed* — never serve — an L2 compile: the factors carry
-    /// over, the feasible set does not.
-    pub fn reproject_l_l2(&self, target_rank: usize) -> Matrix {
-        let mut l = self.reshape_rows(target_rank);
-        crate::l2::project_columns_l2(&mut l, 1.0);
-        l
-    }
-
-    /// Shared truncation/padding step: `target_rank` rows ordered by
-    /// seed contribution, dead rows revived, no feasibility projection
-    /// applied yet.
-    fn reshape_rows(&self, target_rank: usize) -> Matrix {
         assert!(target_rank > 0, "target rank must be at least 1");
         let (r_seed, n) = self.l.shape();
         let mut l = Matrix::zeros(target_rank, n);
@@ -124,6 +103,7 @@ impl WarmStart {
             }
         }
 
+        project_columns_l1(&mut l, 1.0);
         l
     }
 }
@@ -194,41 +174,5 @@ mod tests {
     #[should_panic(expected = "inner dimension")]
     fn mismatched_factors_rejected() {
         let _ = WarmStart::new(Matrix::zeros(4, 3), Matrix::zeros(2, 6));
-    }
-
-    #[test]
-    fn l2_reprojection_is_l2_feasible() {
-        // A seed with L1-feasible but L2-infeasible columns would be
-        // pathological; the realistic case is an L1 seed whose columns
-        // are already inside the (larger) L2 ball — but the method must
-        // also repair columns that exceed it.
-        let b = Matrix::filled(4, 2, 1.0);
-        let l = Matrix::from_rows(&[&[3.0, 0.1, 0.0], &[4.0, 0.0, 0.2]]);
-        let s = WarmStart::new(b, l);
-        let out = s.reproject_l_l2(2);
-        assert_eq!(out.shape(), (2, 3));
-        for j in 0..3 {
-            let col_norm: f64 = (0..2).map(|i| out.get(i, j).powi(2)).sum::<f64>().sqrt();
-            assert!(col_norm <= 1.0 + 1e-12, "column {j} L2-infeasible");
-        }
-        // Every direction alive.
-        for i in 0..2 {
-            assert!(out.row(i).iter().any(|&v| v.abs() > 0.0), "row {i} dead");
-        }
-    }
-
-    #[test]
-    fn l1_seed_carries_into_l2_untouched() {
-        // An L1-feasible seed is automatically L2-feasible, so the L2
-        // reprojection keeps its values exactly.
-        let s = seed(5, 3, 8);
-        let l1_out = s.reproject_l(3);
-        let carried = WarmStart::new(Matrix::filled(5, 3, 1.0), l1_out.clone());
-        let l2_out = carried.reproject_l_l2(3);
-        for i in 0..3 {
-            for j in 0..8 {
-                assert_eq!(l1_out.get(i, j), l2_out.get(i, j));
-            }
-        }
     }
 }

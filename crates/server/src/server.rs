@@ -853,6 +853,9 @@ impl Server {
             if let Some(cols) = meta.solved_cols {
                 compile_span.record("solved_cols", cols);
             }
+            if let Some(gap) = meta.duality_gap {
+                compile_span.record("duality_gap", gap);
+            }
             if let Some(warm) = &meta.warm_start {
                 compile_span.record("warm_seed_fingerprint", warm.seed_fingerprint);
                 compile_span.record("warm_profile_distance", warm.profile_distance);

@@ -16,12 +16,14 @@
 //!    valid close reason and a `batch.compile` span with a valid cache
 //!    outcome on the same trace, and the ALM solver reported at least
 //!    one iteration for the cold compile.
+//! 4. **Certificates**: a Gaussian LRM serve, audited the same way,
+//!    reports a `duality_gap` on every compile and never an ALM count.
 //!
 //! The subscriber registry is process-global, so this file holds a
 //! single test.
 
-use lrm_core::engine::MechanismKind;
-use lrm_dp::Epsilon;
+use lrm_core::engine::{CompileOptions, MechanismKind, NoiseFlavor};
+use lrm_dp::{Budget, Epsilon};
 use lrm_obs::{Memory, Record, Value};
 use lrm_server::{QuerySpec, Server};
 use lrm_workload::{Attribute, Schema};
@@ -58,6 +60,7 @@ const ALLOWED_KEYS: &[&str] = &[
     "alm_iterations",
     "nesterov_iterations",
     "solved_cols",
+    "duality_gap",
     "warm_seed_fingerprint",
     "warm_profile_distance",
     // solver telemetry
@@ -101,6 +104,16 @@ fn get_u64(record: &Record, key: &str) -> Option<u64> {
         })
 }
 
+fn get_f64(record: &Record, key: &str) -> Option<f64> {
+    fields(record)
+        .iter()
+        .find(|(k, _)| *k == key)
+        .and_then(|(_, v)| match v {
+            Value::F64(x) => Some(*x),
+            _ => None,
+        })
+}
+
 fn get_str<'a>(record: &'a Record, key: &str) -> Option<&'a str> {
     fields(record)
         .iter()
@@ -119,11 +132,43 @@ fn is_short_label(s: &str) -> bool {
             .all(|c| c.is_alphanumeric() || "._-+γ".contains(c))
 }
 
+/// Every name and field key is on the allowlists, every string is a short
+/// label, and no rendered record holds an array.
+fn audit_payload(records: &[Record]) {
+    for record in records {
+        let name = record.name();
+        assert!(
+            ALLOWED_NAMES.contains(&name),
+            "unknown span/event name {name:?}"
+        );
+        for (key, value) in fields(record) {
+            assert!(
+                ALLOWED_KEYS.contains(key),
+                "field {key:?} on {name:?} is not on the data-independence allowlist"
+            );
+            if let Value::Str(s) = value {
+                assert!(
+                    is_short_label(s),
+                    "string payload {s:?} on {name:?}.{key} is not a short label"
+                );
+            }
+        }
+        // The wire format: one JSON object, scalar fields only. No '['
+        // can appear — not in names (checked above), not in labels
+        // (checked above), so none anywhere means no arrays anywhere.
+        let line = lrm_obs::json::record_line(record);
+        assert!(
+            !line.contains('[') && !line.contains(']'),
+            "rendered record may not contain an array: {line}"
+        );
+    }
+}
+
 #[test]
 fn serve_traces_decompose_latency_and_carry_no_data() {
     let schema = Schema::single(Attribute::new("v", 0.0, 32.0, 32).unwrap());
     let data: Vec<f64> = (0..32).map(|i| 40.0 + (i as f64) * 3.0).collect();
-    let server = Server::builder(schema, data)
+    let server = Server::builder(schema.clone(), data.clone())
         .mechanism(MechanismKind::Lrm)
         .coalesce_window(Duration::from_millis(4))
         .max_batch(4)
@@ -154,33 +199,7 @@ fn serve_traces_decompose_latency_and_carry_no_data() {
     assert!(!records.is_empty(), "tracing must have captured the serve");
 
     // ---- 1. Payload audit over the in-memory records and the JSON. ----
-    for record in &records {
-        let name = record.name();
-        assert!(
-            ALLOWED_NAMES.contains(&name),
-            "unknown span/event name {name:?}"
-        );
-        for (key, value) in fields(record) {
-            assert!(
-                ALLOWED_KEYS.contains(key),
-                "field {key:?} on {name:?} is not on the data-independence allowlist"
-            );
-            if let Value::Str(s) = value {
-                assert!(
-                    is_short_label(s),
-                    "string payload {s:?} on {name:?}.{key} is not a short label"
-                );
-            }
-        }
-        // The wire format: one JSON object, scalar fields only. No '['
-        // can appear — not in names (checked above), not in labels
-        // (checked above), so none anywhere means no arrays anywhere.
-        let line = lrm_obs::json::record_line(record);
-        assert!(
-            !line.contains('[') && !line.contains(']'),
-            "rendered record may not contain an array: {line}"
-        );
-    }
+    audit_payload(&records);
 
     // ---- 2. Phase decomposition. ----
     let submits: Vec<&Record> = records
@@ -292,9 +311,62 @@ fn serve_traces_decompose_latency_and_carry_no_data() {
             get_u64(compile, "nesterov_iterations").is_some(),
             "every ALM solve reports its inner iterations"
         );
+        assert!(get_f64(compile, "duality_gap").is_none());
     }
     assert!(
         records.iter().any(|r| r.name() == "alm.iteration"),
         "the cold compile must report solver iterations"
+    );
+
+    // ---- 4. Gaussian LRM compiles report their certificate. ----
+    let server = Server::builder(schema, data)
+        .mechanism(MechanismKind::Lrm)
+        .compile_options(CompileOptions::with_flavor(NoiseFlavor::ApproxDp))
+        .coalesce_window(Duration::from_millis(4))
+        .max_batch(4)
+        .workers(2)
+        .seed(7)
+        .build()
+        .unwrap();
+    let grant = Budget::approx(Epsilon::new(4.0).unwrap(), 1e-5).unwrap();
+    server.register_tenant_budget("acme", grant);
+    let sink = Arc::new(Memory::default());
+    lrm_obs::install(sink.clone());
+    let (answered, _) = server.serve(|client| {
+        let release = Budget::approx(Epsilon::new(0.2).unwrap(), 1e-7).unwrap();
+        let tickets: Vec<_> = (0..6)
+            .map(|i| {
+                let spec = QuerySpec::Ranges {
+                    attr: 0,
+                    ranges: vec![(0.0, 8.0 * (1 + i % 3) as f64), (16.0, 32.0)],
+                };
+                client.submit_budget("acme", &spec, release).unwrap()
+            })
+            .collect();
+        tickets.into_iter().filter_map(|t| t.wait().ok()).count()
+    });
+    lrm_obs::uninstall();
+    let records = sink.take();
+    assert_eq!(answered, 6);
+    audit_payload(&records);
+    let compiles: Vec<&Record> = records
+        .iter()
+        .filter(|r| r.name() == "batch.compile")
+        .collect();
+    assert!(!compiles.is_empty());
+    for compile in &compiles {
+        assert_eq!(get_str(compile, "mechanism"), Some("LRM-G"));
+        let gap = get_f64(compile, "duality_gap").expect("a Gaussian LRM compile is certified");
+        assert!((0.0..=1e-4).contains(&gap), "duality gap {gap}");
+        for alm_key in ["alm_iterations", "nesterov_iterations", "solved_cols"] {
+            assert!(
+                get_u64(compile, alm_key).is_none(),
+                "{alm_key} beside a certificate"
+            );
+        }
+    }
+    assert!(
+        !records.iter().any(|r| r.name() == "alm.iteration"),
+        "a dual-solved compile runs no ALM iteration"
     );
 }
